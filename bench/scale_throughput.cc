@@ -75,9 +75,9 @@ struct SweepPoint {
 
 int main_impl(int argc, char** argv) {
   const Args args(argc, argv);
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 1000000));
-  const auto k = static_cast<std::uint32_t>(args.get_int("k", 512));
-  const auto degree = static_cast<std::uint32_t>(args.get_int("degree", 16));
+  const auto n = args.get_uint("n", 1000000);
+  const auto k = args.get_uint("k", 512);
+  const auto degree = args.get_uint("degree", 16);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
   // --sweep=1,2,4,8 runs the same swarm once per job count; without it the
@@ -111,7 +111,7 @@ int main_impl(int argc, char** argv) {
   EngineConfig cfg;
   cfg.num_nodes = n;
   cfg.num_blocks = k;
-  cfg.max_ticks = static_cast<Tick>(args.get_int("cap", 0));
+  cfg.max_ticks = args.get_uint("cap", 0);
   if (sched == scale::SchedKind::kRifflePipeline) {
     cfg.download_capacity = 2;  // Theorem 3's d = 2u regime
   }
@@ -297,6 +297,7 @@ int main_impl(int argc, char** argv) {
       const std::string suffix = "_j" + std::to_string(p.jobs);
       json.num("run_seconds" + suffix, p.run_seconds)
           .num("node_ticks_per_sec" + suffix, p.node_ticks_per_sec)
+          .num("transfers_per_sec" + suffix, p.transfers_per_sec)
           .num("speedup" + suffix, baseline.run_seconds > 0.0 && p.run_seconds > 0.0
                                        ? baseline.run_seconds / p.run_seconds
                                        : 0.0)

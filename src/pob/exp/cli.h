@@ -16,7 +16,14 @@ class Args {
   Args(int argc, const char* const* argv);
 
   bool has(std::string_view flag) const;
+
+  /// Integer flags throw std::invalid_argument naming the flag and the
+  /// offending text (`--n: expected an integer, got "abc"`) on anything but
+  /// a whole base-10 integer in range.
   std::int64_t get_int(std::string_view flag, std::int64_t fallback) const;
+  /// A count or size in [0, 2^32): rejects negatives by name, so `--k=-3`
+  /// fails here instead of wrapping into an allocation that cannot succeed.
+  std::uint32_t get_uint(std::string_view flag, std::uint32_t fallback) const;
   double get_double(std::string_view flag, double fallback) const;
   std::string get_string(std::string_view flag, std::string_view fallback) const;
 

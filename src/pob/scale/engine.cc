@@ -388,6 +388,7 @@ Engine::Engine(const EngineConfig& config, std::shared_ptr<const Topology> topol
 
   const std::uint32_t shards = (n_ + opt_.shard_nodes - 1) / opt_.shard_nodes;
   shard_intents_.resize(shards);
+  shard_view_.resize(shards);
   switch (opt_.scheduler) {
     case SchedKind::kRandomized:
       sched_ = std::make_unique<RandomizedScheduler>(*this, shards);
@@ -1165,22 +1166,24 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
     sated_dirty_ = false;
   }
 
-  // Phase 1: intent generation, sharded by sender node range. Shards only
-  // read the (frozen) swarm state and write their own vector + scheduler-
-  // owned scratch, so running them on a pool is observationally identical to
-  // the serial loop. begin_tick is the scheduler's serial hook (the riffle
-  // scheduler materializes the tick's meeting buffer in it); generate()
+  // Phase 1: intent generation. begin_tick is the scheduler's serial hook;
+  // a scheduler that plans the whole tick there (the riffle) returns its
+  // canonical stream and the sharded generate is skipped. Otherwise it runs
+  // sharded by sender node range: shards only read the (frozen) swarm state
+  // and write their own vector + scheduler-owned scratch, so running them on
+  // a pool is observationally identical to the serial loop, and generate()
   // emits each shard's slice of the canonical sender-ordered stream.
-  sched_->begin_tick(tick);
-  const std::function<void(std::uint32_t)> generate = [&](std::uint32_t s) {
-    auto& intents = shard_intents_[s];
-    intents.clear();
-    const auto first = static_cast<NodeId>(static_cast<std::uint64_t>(s) * shard);
-    const auto last = static_cast<NodeId>(
-        std::min<std::uint64_t>(n_, static_cast<std::uint64_t>(first) + shard));
-    sched_->generate(tick, s, first, last, intents);
-  };
-  for_shards(pool, num_shards, generate);
+  const std::vector<Transfer>* planned = sched_->begin_tick(tick);
+  if (planned == nullptr) {
+    for_shards(pool, num_shards, [&](std::uint32_t s) {
+      auto& intents = shard_intents_[s];
+      intents.clear();
+      const auto first = static_cast<NodeId>(static_cast<std::uint64_t>(s) * shard);
+      const auto last = static_cast<NodeId>(
+          std::min<std::uint64_t>(n_, static_cast<std::uint64_t>(first) + shard));
+      sched_->generate(tick, s, first, last, intents);
+    });
+  }
 
   if (timing) {
     timings_.generate_seconds += seconds_since(stamp);
@@ -1196,14 +1199,16 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
   // then reconstructed from per-intent accept flags in canonical order.
   const std::uint32_t R = recv_shards_;
 
-  // 2a. Canonical-stream offsets per intent shard (serial, O(S)).
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    intent_offsets_[s + 1] = intent_offsets_[s] + shard_intents_[s].size();
+  // 2a. The tick's intent total (serial, O(S) for the sharded generate,
+  // O(1) for a planned stream).
+  std::size_t total_wide = 0;
+  if (planned != nullptr) {
+    total_wide = planned->size();
+  } else {
+    for (const auto& intents : shard_intents_) total_wide += intents.size();
   }
-  const std::size_t total_wide = intent_offsets_[num_shards];
   assert(total_wide <= std::numeric_limits<std::uint32_t>::max());
   const auto total = static_cast<std::uint32_t>(total_wide);
-  std::fill(bucket_offsets_.begin(), bucket_offsets_.end(), 0u);
   sparse_tick_ = total <= kSparseTickIntents;
   if (total == 0) {
     if (timing) timings_.merge_seconds += seconds_since(stamp);
@@ -1215,11 +1220,13 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
     // serial merge), so the accepted stream is identical; it just skips the
     // counting/scatter/flag scaffolding, whose fixed O(S * R) cost would
     // dominate million-tick deterministic runs of a few hundred intents per
-    // tick. apply_merged sees sparse_tick_ and commits serially too.
+    // tick. A planned stream is admitted in one pass; the sharded generate's
+    // vectors are its S consecutive pieces. apply_merged sees sparse_tick_
+    // and commits serially too.
     PairTable& delivered = delivered_[0];
     delivered.begin_tick(total);
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      for (const Transfer& tr : shard_intents_[s]) {
+    const auto admit_serial = [&](std::span<const Transfer> intents) {
+      for (const Transfer& tr : intents) {
         bool admit;
         if (down_caps_unlimited_) {
           admit = delivered.insert(delivery_key(tr.to, tr.block));
@@ -1235,16 +1242,40 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
         }
         if (admit) out.push_back(tr);
       }
+    };
+    if (planned != nullptr) {
+      admit_serial(*planned);
+    } else {
+      for (const auto& intents : shard_intents_) admit_serial(intents);
     }
     if (timing) timings_.merge_seconds += seconds_since(stamp);
     return;
   }
 
+  // 2a'. Dense tick: one view per intent shard plus its canonical-stream
+  // offset. A planned stream is cut here at the shard's sender boundaries
+  // (it is ascending by sender), so the dense merge below reads the same
+  // slices the sharded generate would have produced.
+  for (std::uint32_t s = 0; s < num_shards; ++s) {
+    if (planned != nullptr) {
+      const auto last = static_cast<NodeId>(
+          std::min<std::uint64_t>(n_, static_cast<std::uint64_t>(s + 1) * shard));
+      const auto lo = planned->begin() + static_cast<std::ptrdiff_t>(intent_offsets_[s]);
+      const auto hi = std::partition_point(
+          lo, planned->end(), [&](const Transfer& t) { return t.from < last; });
+      shard_view_[s] = {lo, hi};
+    } else {
+      shard_view_[s] = shard_intents_[s];
+    }
+    intent_offsets_[s + 1] = intent_offsets_[s] + shard_view_[s].size();
+  }
+  assert(intent_offsets_[num_shards] == total);
+
   // 2b. Count intents per (intent shard, receiver shard).
   for_shards(pool, num_shards, [&](std::uint32_t s) {
     std::uint32_t* cnt = scatter_pos_.data() + static_cast<std::size_t>(s) * R;
     std::fill_n(cnt, R, 0u);
-    for (const Transfer& tr : shard_intents_[s]) ++cnt[recv_shard_of(tr.to)];
+    for (const Transfer& tr : shard_view_[s]) ++cnt[recv_shard_of(tr.to)];
   });
 
   // 2c. Bucket offsets; counts become scatter cursors (serial, O(S * R)).
@@ -1276,7 +1307,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
   for_shards(pool, num_shards, [&](std::uint32_t s) {
     std::uint32_t* cur = scatter_pos_.data() + static_cast<std::size_t>(s) * R;
     auto g = static_cast<std::uint32_t>(intent_offsets_[s]);
-    for (const Transfer& tr : shard_intents_[s]) {
+    for (const Transfer& tr : shard_view_[s]) {
       bucket_[cur[recv_shard_of(tr.to)]++] = MergeItem{tr, g++};
     }
   });
@@ -1341,7 +1372,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
   for_shards(pool, num_shards, [&](std::uint32_t s) {
     auto g = intent_offsets_[s];
     std::size_t w = base + emit_offsets_[s];
-    for (const Transfer& tr : shard_intents_[s]) {
+    for (const Transfer& tr : shard_view_[s]) {
       if (accept_[g++]) out[w++] = tr;
     }
   });
@@ -1832,6 +1863,7 @@ std::uint64_t Engine::state_bytes() const {
   for (const auto& intents : shard_intents_) {
     bytes += intents.capacity() * sizeof(Transfer);
   }
+  bytes += shard_view_.capacity() * sizeof(std::span<const Transfer>);
   bytes += sched_->memory_bytes();  // randomized probe scratch, riffle segments
   for (const PairTable& table : delivered_) bytes += table.memory_bytes();
   bytes += intent_offsets_.capacity() * sizeof(std::size_t);

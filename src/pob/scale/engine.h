@@ -118,10 +118,13 @@ struct ScaleOptions {
   /// net (pre-tick ledger) stays below the limit. The emitted stream always
   /// satisfies CreditLimited::check_tick.
   ///
-  /// Under kTriangularBarter the limit must be >= 1: the deterministic
-  /// schedule never consults the ledger (it is CyclicBarter(3, 1)-compliant
-  /// by construction), but the engine keeps it live so mirrors and tests can
-  /// audit the stream under the §3.3 mechanism.
+  /// Under kTriangularBarter the limit must be >= 1, but nothing reads the
+  /// ledger: the deterministic schedule is CyclicBarter(3, 1)-compliant by
+  /// construction and never consults it, the engine exposes no accessor,
+  /// and the mirror and fuzz checks run their own CyclicBarter. The commit
+  /// still records every client transfer (CreditLimited's full pairwise
+  /// net, not CyclicBarter's uncleared remainder), which makes the
+  /// triangular apply slower than the binomial one for the same stream.
   std::uint32_t credit_limit = 0;
 
   /// Which ScaleScheduler generates intents; see SchedKind (scheduler.h).
@@ -750,7 +753,10 @@ class Engine {
   std::unique_ptr<ScaleScheduler> sched_;
 
   // Tick scratch (reused, never shrunk).
-  std::vector<std::vector<Transfer>> shard_intents_;
+  std::vector<std::vector<Transfer>> shard_intents_;  // sharded generate only
+  // The dense merge's per-intent-shard input: shard_intents_[s], or the
+  // shard's sender slice of the scheduler's planned stream.
+  std::vector<std::span<const Transfer>> shard_view_;
   std::vector<std::uint32_t> down_used_;    // stamped by down_stamp_
   std::vector<Tick> down_stamp_;
   std::vector<PairTable> delivered_;        // one per receiver shard

@@ -10,11 +10,12 @@
 // within-tick order differs, which the simultaneous-tick model ignores).
 //
 // The same emission doubles as §3.3 triangular barter (kTriangularBarter):
-// the schedule is unchanged, but the engine keeps the pairwise ledger live
-// (credit_limit >= 1) and the fuzzer validates the stream under
-// CyclicBarter(3, limit) instead of no mechanism — the paper's point being
-// that the optimal cooperative schedule already satisfies relaxed barter, so
-// the price of triangular barter is 1.
+// the schedule is unchanged and the mirror and fuzz oracles validate the
+// stream under their own CyclicBarter(3, limit) instead of no mechanism —
+// the paper's point being that the optimal cooperative schedule already
+// satisfies relaxed barter, so the price of triangular barter is 1. The
+// engine requires credit_limit >= 1 for this kind and records every client
+// transfer in its pairwise ledger, but nothing reads that ledger.
 
 #pragma once
 

@@ -1,7 +1,6 @@
 #include "pob/scale/sched_riffle.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace pob::scale {
 
@@ -84,7 +83,7 @@ void RiffleScheduler::emit_segment(const Segment& seg, Tick tick) {
   }
 }
 
-void RiffleScheduler::begin_tick(Tick tick) {
+const std::vector<Transfer>* RiffleScheduler::begin_tick(Tick tick) {
   if (tick <= built_tick_) {
     // Non-monotone drive (a fresh lockstep replay): rewind and replay the
     // cursor — segments_ is immutable, so this is exact.
@@ -98,23 +97,12 @@ void RiffleScheduler::begin_tick(Tick tick) {
 
   tick_buf_.clear();
   for (const Segment& seg : active_) emit_segment(seg, tick);
-  // Canonical sharded order is ascending sender. Each node uploads at most
-  // once per tick (u = 1 by construction), so the sort key is unique.
+  // Canonical order is ascending sender. Each node uploads at most once per
+  // tick (u = 1 by construction), so the sort key is unique.
   std::sort(tick_buf_.begin(), tick_buf_.end(),
             [](const Transfer& a, const Transfer& b) { return a.from < b.from; });
   built_tick_ = tick;
-}
-
-void RiffleScheduler::generate(Tick tick, std::uint32_t /*shard*/, NodeId first,
-                               NodeId last, std::vector<Transfer>& out) {
-  assert(tick == built_tick_ && "begin_tick must precede generate");
-  (void)tick;
-  const auto lo = std::partition_point(
-      tick_buf_.begin(), tick_buf_.end(),
-      [&](const Transfer& t) { return t.from < first; });
-  const auto hi = std::partition_point(
-      lo, tick_buf_.end(), [&](const Transfer& t) { return t.from < last; });
-  out.insert(out.end(), lo, hi);
+  return &tick_buf_;
 }
 
 std::uint64_t RiffleScheduler::memory_bytes() const {

@@ -29,9 +29,12 @@
 // merge admits every intent verbatim.
 //
 // begin_tick materializes the tick's transfers once, serially, sorted by
-// sender (each node sends at most once per tick); generate() binary-searches
-// the sender slice, keeping the sharded phase-1 contract bit-identical at
-// any job count.
+// sender (each node sends at most once per tick), and hands that buffer to
+// the engine as the tick's planned stream (scheduler.h). The engine admits
+// it directly, so the riffle never runs the sharded generate: a tick of ~k
+// transfers costs O(k log k) here plus the serial sparse merge, with no
+// per-shard dispatch. The rare dense tick (k >= n - 1) is cut into sender-
+// shard ranges by the engine, not by this class.
 
 #pragma once
 
@@ -47,9 +50,7 @@ class RiffleScheduler final : public ScaleScheduler {
  public:
   explicit RiffleScheduler(const Engine& engine);
 
-  void begin_tick(Tick tick) override;
-  void generate(Tick tick, std::uint32_t shard, NodeId first, NodeId last,
-                std::vector<Transfer>& out) override;
+  const std::vector<Transfer>* begin_tick(Tick tick) override;
 
   const char* name() const override { return "riffle-pipeline"; }
   std::uint64_t memory_bytes() const override;

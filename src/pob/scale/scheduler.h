@@ -4,9 +4,15 @@
 // The contract that keeps the whole engine bit-identical at any --jobs:
 //
 //   * begin_tick(t) runs serially, once, before any generate() call of tick
-//     t — the place to materialize per-tick state (the riffle scheduler
-//     builds its active-meeting buffer here). It must be a pure function of
-//     (engine state, tick), never of the job count.
+//     t. It must be a pure function of (engine state, tick), never of the
+//     job count. A scheduler that can build the whole tick here cheaply
+//     returns it: the tick's complete canonical intent stream, ascending by
+//     sender. The engine then calls no generate() for the tick and admits
+//     the stream directly — serially when it is sparse, cut into sender-
+//     shard ranges for the dense merge otherwise — so a tick of a few
+//     hundred intents pays no per-shard dispatch. The riffle scheduler
+//     plans every tick this way. Returning nullptr (the default) asks for
+//     the sharded generate below.
 //   * generate(t, shard, first, last, out) appends every intent of tick t
 //     whose SENDER lies in [first, last), in ascending sender order, to
 //     `out`. Calls for different shards may run concurrently on the thread
@@ -48,10 +54,13 @@ enum class SchedKind : std::uint8_t {
   /// Theorem 3's riffle pipeline: strict bilateral barter, T = k + n - 2 in
   /// its clean regimes (matching Theorem 2's lower bound).
   kRifflePipeline = 2,
-  /// §3.3 triangular barter: the binomial-pipeline schedule run with the
-  /// pairwise ledger live (credit_limit >= 1). The schedule satisfies
-  /// CyclicBarter(3, 1), so relaxing barter to 3-cycles already recovers the
-  /// optimal cooperative time — the paper's "price of triangular barter = 1".
+  /// §3.3 triangular barter: the binomial-pipeline schedule, configured
+  /// with credit_limit >= 1. The schedule satisfies CyclicBarter(3, 1), so
+  /// relaxing barter to 3-cycles already recovers the optimal cooperative
+  /// time — the paper's "price of triangular barter = 1". The engine's own
+  /// pairwise ledger is recorded but never read; the CyclicBarter(3, 1)
+  /// check lives in the mirror and fuzz oracles (see
+  /// ScaleOptions::credit_limit).
   kTriangularBarter = 3,
 };
 
@@ -69,14 +78,21 @@ class ScaleScheduler {
  public:
   virtual ~ScaleScheduler() = default;
 
-  /// Serial per-tick hook; see the contract above. Default: nothing.
-  virtual void begin_tick(Tick /*tick*/) {}
+  /// Serial per-tick hook; see the contract above. Returns the tick's
+  /// planned canonical stream (valid until the next begin_tick), or nullptr
+  /// to have the engine run generate() per shard. Default: nullptr.
+  virtual const std::vector<Transfer>* begin_tick(Tick /*tick*/) {
+    return nullptr;
+  }
 
   /// Appends tick `tick`'s intents with sender in [first, last) to `out`,
   /// ascending by sender. `shard` is the intent-shard index (shard-owned
-  /// scratch lives behind it); shards partition [0, n) contiguously.
-  virtual void generate(Tick tick, std::uint32_t shard, NodeId first,
-                        NodeId last, std::vector<Transfer>& out) = 0;
+  /// scratch lives behind it); shards partition [0, n) contiguously. Never
+  /// called for a tick whose begin_tick returned a planned stream, so a
+  /// scheduler that plans every tick keeps the default, which emits nothing.
+  virtual void generate(Tick /*tick*/, std::uint32_t /*shard*/,
+                        NodeId /*first*/, NodeId /*last*/,
+                        std::vector<Transfer>& /*out*/) {}
 
   virtual const char* name() const = 0;
 

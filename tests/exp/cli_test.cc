@@ -41,6 +41,42 @@ TEST(Cli, IntListParsing) {
   EXPECT_EQ(args.get_int_list("none", {1, 2}), (std::vector<std::int64_t>{1, 2}));
 }
 
+TEST(Cli, NumericFlagErrorsNameTheFlagAndTheText) {
+  struct Case {
+    const char* arg;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"--n=abc", "--n: expected an integer, got \"abc\""},
+      {"--n=12abc", "--n: expected an integer, got \"12abc\""},
+      {"--n=1.5", "--n: expected an integer, got \"1.5\""},
+      {"--n=99999999999999999999", "--n: expected an integer, got \"99999999999999999999\""},
+      {"--n=-3", "--n: expected a non-negative integer, got \"-3\""},
+      {"--n=4294967296", "--n: expected an integer below 2^32, got \"4294967296\""},
+  };
+  for (const Case& c : cases) {
+    const Args args = make_args({"prog", c.arg});
+    try {
+      args.get_uint("n", 0);
+      ADD_FAILURE() << c.arg << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), c.error) << c.arg;
+    }
+  }
+  // The signed accessor shares the integer errors and accepts negatives.
+  EXPECT_THROW(make_args({"prog", "--n=abc"}).get_int("n", 0), std::invalid_argument);
+  EXPECT_EQ(make_args({"prog", "--n=-3"}).get_int("n", 0), -3);
+  EXPECT_EQ(make_args({"prog", "--n=4294967295"}).get_uint("n", 0), 4294967295u);
+  EXPECT_EQ(make_args({"prog", "--n=0"}).get_uint("n", 7), 0u);
+  EXPECT_EQ(make_args({"prog"}).get_uint("n", 7), 7u);
+  try {
+    make_args({"prog", "--sweep=1,x,4"}).get_int_list("sweep", {});
+    ADD_FAILURE() << "--sweep=1,x,4 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--sweep: expected an integer, got \"x\"");
+  }
+}
+
 TEST(Cli, RejectsPositionalArguments) {
   EXPECT_THROW(make_args({"prog", "oops"}), std::invalid_argument);
 }

@@ -14,8 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <thread>
+#include <vector>
 
 #include "pob/check/oracle.h"
 #include "pob/overlay/builders.h"
@@ -215,6 +218,112 @@ TEST(ScaleParallel, DeterministicSchedulersQuarterMillionNodesPinned) {
     EXPECT_EQ(serial, pinned) << sched_kind_name(kind);
     EXPECT_EQ(digest_at(kind, 4), serial) << sched_kind_name(kind);
     EXPECT_EQ(digest_at(kind, hw), serial) << sched_kind_name(kind);
+  }
+}
+
+// --- The planned path: the riffle scheduler hands each tick's stream to the
+// merge from begin_tick, skipping the sharded generate. Its streams must be
+// the ones the sharded generate produced (these digests were captured from
+// that path), on every tick shape the merge distinguishes. ---
+
+constexpr std::uint64_t kRiffleSparse4096Digest = 17706418616339102779ULL;  // k = 64
+constexpr std::uint64_t kRiffleDense4096Stream = 1413290932520877083ULL;    // k = 4095
+constexpr std::uint64_t kRiffleMixed4096Stream = 13583063037662116725ULL;   // k = 4100
+
+constexpr std::uint32_t kSparseTickIntents = 2048;  // engine.cc's threshold
+
+std::unique_ptr<Engine> riffle_engine(std::uint32_t n, std::uint32_t k,
+                                      bool record_trace) {
+  EngineConfig cfg;
+  cfg.num_nodes = n;
+  cfg.num_blocks = k;
+  cfg.download_capacity = 2;  // Theorem 3's d = 2u regime
+  cfg.record_trace = record_trace;
+  ScaleOptions opt;
+  opt.scheduler = SchedKind::kRifflePipeline;
+  return std::make_unique<Engine>(
+      cfg, std::make_shared<Topology>(Topology::complete(n)), opt, 7);
+}
+
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
+  for (unsigned i = 0; i < 8; ++i) h = (h ^ ((v >> (8 * i)) & 0xffu)) * 0x100000001b3ULL;
+  return h;
+}
+
+std::uint64_t tick_digest(std::span<const Transfer> stream) {
+  std::uint64_t h = fnv_mix(0xcbf29ce484222325ULL, stream.size());
+  for (const Transfer& tr : stream) {
+    h = fnv_mix(fnv_mix(fnv_mix(h, tr.from), tr.to), tr.block);
+  }
+  return h;
+}
+
+// Drives the engine in lockstep with step() until every client completes;
+// returns one digest per tick of the accepted stream.
+std::vector<std::uint64_t> stepped_ticks(Engine& engine, unsigned jobs) {
+  ThreadPool pool(jobs);
+  std::vector<std::uint64_t> ticks;
+  while (!engine.all_complete()) ticks.push_back(tick_digest(engine.step(&pool)));
+  return ticks;
+}
+
+std::uint64_t stream_digest(const std::vector<std::uint64_t>& ticks) {
+  std::uint64_t h = fnv_mix(0xcbf29ce484222325ULL, ticks.size());
+  for (const std::uint64_t t : ticks) h = fnv_mix(h, t);
+  return h;
+}
+
+TEST(ScaleParallel, RifflePlannedSparseTicksPinned) {
+  // n = 4096, k = 64: every tick carries a few dozen transfers, so every
+  // tick takes the serial admission straight from the planned stream.
+  for (const unsigned jobs : {1u, 2u, 4u}) {
+    const RunResult r = riffle_engine(4096, 64, /*record_trace=*/true)->run(jobs);
+    ASSERT_TRUE(r.completed) << "jobs=" << jobs;
+    EXPECT_EQ(r.completion_tick, 4096u + 64u - 2u);
+    EXPECT_LE(*std::max_element(r.uploads_per_tick.begin(), r.uploads_per_tick.end()),
+              kSparseTickIntents);
+    EXPECT_EQ(check::run_result_digest(r), kRiffleSparse4096Digest) << "jobs=" << jobs;
+  }
+}
+
+TEST(ScaleParallel, RifflePlannedDenseTicksPinned) {
+  // n = 4096, k = 4095: one full riffle cycle over all n - 1 clients, whose
+  // middle ticks carry ~n barters — above the sparse threshold, so the
+  // engine cuts the planned stream into sender shards for the dense merge.
+  for (const unsigned jobs : {1u, 2u, 4u}) {
+    const RunResult r = riffle_engine(4096, 4095, /*record_trace=*/false)->run(jobs);
+    ASSERT_TRUE(r.completed) << "jobs=" << jobs;
+    EXPECT_EQ(r.completion_tick, 4096u + 4095u - 2u);
+    EXPECT_GT(*std::max_element(r.uploads_per_tick.begin(), r.uploads_per_tick.end()),
+              kSparseTickIntents);
+    const auto stepped = riffle_engine(4096, 4095, /*record_trace=*/false);
+    EXPECT_EQ(stream_digest(stepped_ticks(*stepped, jobs)), kRiffleDense4096Stream)
+        << "jobs=" << jobs;
+  }
+}
+
+TEST(ScaleParallel, RiffleLockstepReplayOutOfOrderMatchesTheForwardStream) {
+  // k = 4100 = (n - 1) + 5: a dense full cycle, then sparse subgroup
+  // remainders. The forward step() drive is pinned at every job count; a
+  // fresh engine then plans the ticks in descending order, so every
+  // begin_tick call rewinds the scheduler's segment cursor, and each tick's
+  // stream must still equal the forward one. (The riffle's intents read no
+  // swarm state, so planning without applying is a faithful replay.)
+  std::vector<std::uint64_t> forward;
+  for (const unsigned jobs : {1u, 2u, 4u}) {
+    const auto engine = riffle_engine(4096, 4100, /*record_trace=*/false);
+    const std::vector<std::uint64_t> ticks = stepped_ticks(*engine, jobs);
+    EXPECT_EQ(stream_digest(ticks), kRiffleMixed4096Stream) << "jobs=" << jobs;
+    if (forward.empty()) forward = ticks;
+  }
+  ASSERT_FALSE(forward.empty());
+
+  const auto replay = riffle_engine(4096, 4100, /*record_trace=*/false);
+  std::vector<Transfer> planned;
+  for (auto t = static_cast<Tick>(forward.size()); t >= 1; --t) {
+    planned.clear();
+    replay->plan(t, planned);
+    ASSERT_EQ(tick_digest(planned), forward[t - 1]) << "tick " << t;
   }
 }
 

@@ -87,7 +87,7 @@ std::shared_ptr<const Overlay> make_overlay(const Args& args, std::uint32_t n,
   const std::string kind = args.get_string("overlay", "complete");
   if (kind == "complete") return std::make_shared<CompleteOverlay>(n);
   if (kind == "regular") {
-    const auto d = static_cast<std::uint32_t>(args.get_int("degree", 20));
+    const auto d = args.get_uint("degree", 20);
     return std::make_shared<GraphOverlay>(make_random_regular(n, d, rng));
   }
   if (kind == "hypercube") {
@@ -129,7 +129,7 @@ std::shared_ptr<const scale::Topology> make_scale_topology(const Args& args,
     return std::make_shared<scale::Topology>(scale::Topology::complete(n));
   }
   if (kind == "regular") {
-    const auto d = static_cast<std::uint32_t>(args.get_int("degree", 20));
+    const auto d = args.get_uint("degree", 20);
     return std::make_shared<scale::Topology>(
         scale::Topology::from_graph(make_random_regular(n, d, rng)));
   }
@@ -423,8 +423,8 @@ int main_impl(int argc, char** argv) {
   }
 
   const std::string algo = args.get_string("algo", "binomial-pipeline");
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 64));
-  const auto k = static_cast<std::uint32_t>(args.get_int("k", 32));
+  const auto n = args.get_uint("n", 64);
+  const auto k = args.get_uint("k", 32);
   const auto runs = static_cast<std::uint32_t>(args.get_int("runs", 1));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const unsigned jobs = jobs_from_flag(args.get_int("jobs", 0));
@@ -436,7 +436,7 @@ int main_impl(int argc, char** argv) {
   cfg.download_capacity = args.has("download")
                               ? static_cast<std::uint32_t>(args.get_int("download", 1))
                               : kUnlimited;
-  cfg.max_ticks = static_cast<Tick>(args.get_int("cap", 0));
+  cfg.max_ticks = args.get_uint("cap", 0);
   cfg.record_trace = args.has("trace") || args.has("save-trace");
   if (args.has("stall-window")) {
     cfg.stall_window = static_cast<Tick>(args.get_int("stall-window", 250));
@@ -518,7 +518,7 @@ int main_impl(int argc, char** argv) {
       auto credit = std::make_unique<CreditLimited>(
           static_cast<std::uint32_t>(args.get_int("credit", 1)));
       sched = std::make_unique<RotatingRandomizedScheduler>(
-          n, static_cast<std::uint32_t>(args.get_int("degree", 8)),
+          n, args.get_uint("degree", 8),
           static_cast<Tick>(args.get_int("period", 16)), opt, run_rng.split(1),
           credit.get());
       mech = std::move(credit);
