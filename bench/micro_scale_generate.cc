@@ -3,12 +3,12 @@
 // scale_throughput measures whole runs, where merge/apply and the changing
 // swarm state fold every effect together; this microbench freezes one
 // mid-run swarm and replans the same tick repeatedly, so the probe ladder —
-// the part target-major batching and the scan kernels actually touch — is
-// the only thing on the clock. The drive: advance the fill with a capped
-// run() window (run() is resumable), then call plan() at the frozen tick
-// --iters times per configuration. plan() poisons run(), so each
-// configuration gets a fresh engine advanced to the identical state (same
-// seed, same windows — bit-identical by construction).
+// the part the scan kernels actually touch — is the only thing on the
+// clock. The drive: advance the fill with a capped run() window (run() is
+// resumable), then call plan() at the frozen tick --iters times per
+// configuration. plan() poisons run(), so each configuration gets a fresh
+// engine advanced to the identical state (same seed, same windows —
+// bit-identical by construction).
 //
 // Repeated plans at one tick emit the identical intent stream (the bench
 // asserts it), but not identical seconds: the first iteration runs cold,
@@ -33,7 +33,6 @@ namespace {
 
 struct ConfigPoint {
   std::string kernel;
-  std::uint32_t batch = 1;       // resolved window width
   std::uint64_t intents = 0;     // merged intents per plan (identical across)
   std::vector<double> seconds;   // per-iteration generate-phase seconds
   double best = 0.0;             // fastest iteration (warm)
@@ -62,29 +61,17 @@ int main_impl(int argc, char** argv) {
   const auto topo = std::make_shared<scale::Topology>(
       scale::Topology::from_graph(make_random_regular(n, degree, topo_rng)));
 
-  // The ablation grid: every scan kernel this build resolves x batching
-  // forced off/forced on (auto is footprint-aware, so it would collapse to
-  // one side on any given host). Compaction stays at its default; at the
-  // frozen mid-run tick the compact band is empty or nearly so, and this
-  // bench is about probing.
-  struct Axis {
-    scale::ScanKernel kernel;
-    std::uint32_t batch;
-  };
-  std::vector<Axis> grid;
-  for (const scale::ScanKernel kern :
-       {scale::ScanKernel::kAuto, scale::ScanKernel::kScalar}) {
-    for (const std::uint32_t batch : {1u, 32u}) grid.push_back({kern, batch});
-  }
-
+  // The ablation grid: both scan kernels. Compaction stays at its default;
+  // at the frozen mid-run tick the compact band is empty or nearly so, and
+  // this bench is about probing.
   std::vector<ConfigPoint> points;
   std::vector<Transfer> stream;
   std::vector<Transfer> reference;
-  for (const Axis& axis : grid) {
+  for (const scale::ScanKernel kernel :
+       {scale::ScanKernel::kAuto, scale::ScanKernel::kScalar}) {
     scale::ScaleOptions opt;
     opt.collect_phase_timings = true;
-    opt.scan_kernel = axis.kernel;
-    opt.batch_window = axis.batch;
+    opt.scan_kernel = kernel;
 
     scale::Engine engine(cfg, topo, opt, seed);
     const RunResult warmed = engine.run(1);
@@ -95,8 +82,7 @@ int main_impl(int argc, char** argv) {
     }
 
     ConfigPoint p;
-    p.kernel = scale::scan_kernel_name(axis.kernel);
-    p.batch = engine.batch_window();
+    p.kernel = scale::scan_kernel_name(kernel);
     const Tick tick = engine.current_tick();
     double base = engine.phase_timings().generate_seconds;
     for (std::uint32_t i = 0; i < iters; ++i) {
@@ -110,7 +96,7 @@ int main_impl(int argc, char** argv) {
     // Every configuration replans the identical frozen swarm, so every plan
     // of every configuration must emit the identical stream — the digest
     // pins prove it for whole runs; this bench spot-checks the same claim
-    // where a kernel or batching bug would first show.
+    // where a kernel bug would first show.
     if (reference.empty()) {
       reference = stream;
     } else if (stream.size() != reference.size() ||
@@ -128,13 +114,13 @@ int main_impl(int argc, char** argv) {
   }
 
   bench::emit(args, [&] {
-    Table table({"kernel", "batch", "iter", "gen-s", "node-ticks/s"});
+    Table table({"kernel", "iter", "gen-s", "node-ticks/s"});
     for (const ConfigPoint& p : points) {
       for (std::size_t i = 0; i < p.seconds.size(); ++i) {
         const double rate =
             p.seconds[i] > 0.0 ? static_cast<double>(n) / p.seconds[i] : 0.0;
-        table.add_row({p.kernel, std::to_string(p.batch), std::to_string(i),
-                       fmt(p.seconds[i], 4), fmt(rate / 1e6, 1) + "M"});
+        table.add_row({p.kernel, std::to_string(i), fmt(p.seconds[i], 4),
+                       fmt(rate / 1e6, 1) + "M"});
       }
     }
     return table;
@@ -151,7 +137,7 @@ int main_impl(int argc, char** argv) {
       .count("iters", iters)
       .count("intents_per_plan", points.front().intents);
   for (const ConfigPoint& p : points) {
-    const std::string suffix = "_" + p.kernel + "_b" + std::to_string(p.batch);
+    const std::string suffix = "_" + p.kernel;
     json.num("generate_seconds_best" + suffix, p.best)
         .num("generate_seconds_mean" + suffix, p.mean)
         .num("node_ticks_per_sec" + suffix,

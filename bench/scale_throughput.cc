@@ -20,7 +20,7 @@
 // --scheduler selects the intent generator: randomized (default; the
 // probing protocol over the random-regular overlay), or the deterministic
 // closed-form schedules — binomial (Theorem 1), riffle (strict barter,
-// Theorems 2/3), triangular (§3.3; binomial schedule with the ledger live).
+// Theorems 2/3), triangular (§3.3; binomial schedule under credit 1).
 // Deterministic runs use the complete topology, unit upload capacity and a
 // power-of-two n (the engine enforces all three), and the JSON gains the
 // price-of-barter fields E24 tabulates: completion time against the
@@ -69,7 +69,6 @@ struct SweepPoint {
   std::uint64_t state_bytes = 0;
   double build_seconds = 0.0;
   std::uint64_t arena_released = 0;
-  std::uint32_t batch_window = 1;
   std::uint32_t compact_threshold = 0;
 };
 
@@ -121,24 +120,21 @@ int main_impl(int argc, char** argv) {
   opt.policy = args.get_string("policy", "random") == "random"
                    ? BlockPolicy::kRandom
                    : BlockPolicy::kRarestFirst;
-  opt.credit_limit = static_cast<std::uint32_t>(args.get_int("credit", 0));
+  opt.credit_limit = args.get_uint("credit", 0);
   if (sched == scale::SchedKind::kTriangularBarter && opt.credit_limit == 0) {
-    opt.credit_limit = 1;  // the §3.3 ledger; the schedule never consults it
+    opt.credit_limit = 1;  // §3.3's credit 1; the schedule never consults a ledger
   }
-  opt.max_probes = static_cast<std::uint32_t>(args.get_int("probes", 16));
+  opt.max_probes = args.get_uint("probes", 16);
   opt.collect_phase_timings = true;
   // --simd=off forces the scalar reference scan kernel; CI runs the digest
-  // pin both ways to prove the vectorized paths change nothing but seconds.
+  // pin both ways to prove the unrolled path changes nothing but seconds.
   opt.scan_kernel = args.get_string("simd", "auto") == "off"
                         ? scale::ScanKernel::kScalar
                         : scale::ScanKernel::kAuto;
-  // --batch=0 auto (engine-tuned window), 1 off (the historical per-sender
-  // path), >= 2 an explicit sender-window width. --compact=-1 auto, 0 off,
-  // > 0 an explicit missing-block threshold. Both are memory schedules, not
-  // policies: every setting produces the identical stream (CI pins the
-  // digests across them), only the seconds move — which is exactly why the
-  // bench exposes them for ablation.
-  opt.batch_window = static_cast<std::uint32_t>(args.get_int("batch", 0));
+  // --compact=-1 auto, 0 off, > 0 an explicit missing-block threshold.
+  // Compaction is a memory schedule, not a policy: every setting produces
+  // the identical stream (CI pins the digests across them), only the
+  // seconds move — which is exactly why the bench exposes it for ablation.
   const std::int64_t compact = args.get_int("compact", -1);
   opt.compact_missing =
       compact < 0 ? scale::kCompactAuto : static_cast<std::uint32_t>(compact);
@@ -171,7 +167,6 @@ int main_impl(int argc, char** argv) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - tb).count();
     p.jobs = jobs == 0 ? default_jobs() : jobs;
     p.state_bytes = engine.state_bytes();
-    p.batch_window = engine.batch_window();
     p.compact_threshold = engine.compact_threshold();
     const auto t1 = std::chrono::steady_clock::now();
     p.result = engine.run(jobs);
@@ -267,7 +262,6 @@ int main_impl(int argc, char** argv) {
       .count("total_transfers", head.result.total_transfers)
       .count("node_ticks",
              static_cast<std::uint64_t>(n) * head.result.ticks_executed)
-      .count("batch_window", head.batch_window)
       .count("compact_threshold", head.compact_threshold)
       .count("arena_released_bytes", head.arena_released)
       .num("run_seconds", head.run_seconds)

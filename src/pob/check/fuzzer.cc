@@ -21,7 +21,7 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
 }  // namespace
 
 FuzzReport fuzz_many(std::uint64_t base_seed, std::uint32_t budget, unsigned jobs,
-                     FaultKind fault, EngineFilter engines, BatchForce batch) {
+                     FaultKind fault, EngineFilter engines) {
   FuzzReport report;
   report.budget = budget;
   if (budget == 0) return report;
@@ -34,7 +34,6 @@ FuzzReport fuzz_many(std::uint64_t base_seed, std::uint32_t budget, unsigned job
   const auto trial = [&](std::uint32_t i) {
     Scenario sc = sample_scenario(base_seed, i);
     sc.fault = fault;
-    sc.batch_force = batch;
     if (engines != EngineFilter::kMixed) {
       sc.engine = engines == EngineFilter::kCoreOnly ? EngineKind::kCore
                                                      : EngineKind::kScale;

@@ -43,8 +43,7 @@ enum class EngineFilter : std::uint8_t { kMixed, kCoreOnly, kScaleOnly, kStreamO
 /// repeat_trials_parallel: 0 = all cores, results independent of the value.
 FuzzReport fuzz_many(std::uint64_t base_seed, std::uint32_t budget, unsigned jobs,
                      FaultKind fault = FaultKind::kNone,
-                     EngineFilter engines = EngineFilter::kMixed,
-                     BatchForce batch = BatchForce::kSample);
+                     EngineFilter engines = EngineFilter::kMixed);
 
 /// Greedily shrinks a failing scenario: tries halving/decrementing the node
 /// and block counts, dropping churn, heterogeneity, mechanisms, and overlay

@@ -1,6 +1,7 @@
 #include "pob/exp/cli.h"
 
 #include <charconv>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -66,7 +67,14 @@ std::uint32_t Args::get_uint(std::string_view flag, std::uint32_t fallback) cons
 double Args::get_double(std::string_view flag, double fallback) const {
   const auto it = values_.find(flag);
   if (it == values_.end() || it->second.empty()) return fallback;
-  return std::stod(it->second);
+  const std::string& text = it->second;
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value)) {
+    throw bad_value(flag, "a number", text);
+  }
+  return value;
 }
 
 std::string Args::get_string(std::string_view flag, std::string_view fallback) const {

@@ -24,6 +24,8 @@ class Args {
   /// A count or size in [0, 2^32): rejects negatives by name, so `--k=-3`
   /// fails here instead of wrapping into an allocation that cannot succeed.
   std::uint32_t get_uint(std::string_view flag, std::uint32_t fallback) const;
+  /// A finite decimal number, the whole text (`1.5x`, `abc` and `inf` throw
+  /// `--leave-pct: expected a number, got "abc"`).
   double get_double(std::string_view flag, double fallback) const;
   std::string get_string(std::string_view flag, std::string_view fallback) const;
 

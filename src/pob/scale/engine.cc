@@ -4,8 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -15,12 +13,6 @@
 #include "pob/scale/sched_binomial.h"
 #include "pob/scale/sched_randomized.h"
 #include "pob/scale/sched_riffle.h"
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#elif defined(__ARM_NEON) && defined(__aarch64__)
-#include <arm_neon.h>
-#endif
 
 namespace pob::scale {
 
@@ -32,32 +24,6 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-// Last-level cache size, read once from sysfs (sysconf's cache queries are
-// unreliable inside containers). Falls back to a modest 32 MiB server slice
-// when the hierarchy is hidden, so unknown hosts err toward batching.
-std::size_t detect_llc_bytes() {
-  static const std::size_t cached = [] {
-    for (const char* path :
-         {"/sys/devices/system/cpu/cpu0/cache/index3/size",
-          "/sys/devices/system/cpu/cpu0/cache/index2/size"}) {
-      if (std::FILE* f = std::fopen(path, "r")) {
-        char buf[32] = {};
-        const std::size_t got = std::fread(buf, 1, sizeof(buf) - 1, f);
-        std::fclose(f);
-        if (got > 0) {
-          char* end = nullptr;
-          const unsigned long long kb = std::strtoull(buf, &end, 10);
-          if (kb != 0 && end != nullptr && *end == 'K') {
-            return static_cast<std::size_t>(kb) << 10;
-          }
-        }
-      }
-    }
-    return static_cast<std::size_t>(32) << 20;
-  }();
-  return cached;
 }
 
 std::uint64_t delivery_key(NodeId to, BlockId block) {
@@ -101,18 +67,10 @@ constexpr std::uint32_t kNoSlot = 0xffffffffu;
 // every mapping kind.
 constexpr std::size_t kArenaChunk = std::size_t{2} << 20;
 
-#if defined(__AVX2__)
-constexpr const char* kAutoKernelName = "avx2";
-#elif defined(__ARM_NEON) && defined(__aarch64__)
-constexpr const char* kAutoKernelName = "neon";
-#else
-constexpr const char* kAutoKernelName = "unrolled";
-#endif
-
 }  // namespace
 
 const char* scan_kernel_name(ScanKernel kernel) {
-  return kernel == ScanKernel::kScalar ? "scalar" : kAutoKernelName;
+  return kernel == ScanKernel::kScalar ? "scalar" : "unrolled";
 }
 
 // --- PairTable -----------------------------------------------------------
@@ -434,25 +392,6 @@ Engine::Engine(const EngineConfig& config, std::shared_ptr<const Topology> topol
   full_row_.assign(stride_, 0);
   for (std::uint32_t w = 0; w < stride_; ++w) full_row_[w] = word_full_mask(w);
 
-  // Target-major batching: the window exists to overlap dependent-load
-  // misses on scattered target rows, which only pays when those rows miss
-  // the last-level cache. Auto therefore sizes the probe working set —
-  // arena, both summary planes, hot per-node metadata — against the host
-  // LLC: cache-resident swarms resolve to the plain per-sender walk
-  // (measured 25-30% faster when nothing misses), and only genuinely
-  // memory-bound ones take the 32-wide window that keeps a core's miss
-  // buffers full. Explicit --batch values bypass the policy; the scheduler
-  // can still opt out (fixed schedules have no probe chains to overlap).
-  std::uint32_t batch_req = opt_.batch_window;
-  if (batch_req == 0) {
-    const std::size_t working_set =
-        bits_.size() * sizeof(std::uint64_t) +
-        2 * static_cast<std::size_t>(n_) * sum_stride_ * sizeof(std::uint64_t) +
-        static_cast<std::size_t>(n_) * 16;
-    batch_req = working_set > detect_llc_bytes() ? 32 : 1;
-  }
-  batch_window_ = std::max(1u, sched_->batch_window(batch_req));
-
   // Endgame compaction: the auto threshold keeps a slab slot at or below
   // the size of the dense row it replaces for the bench shapes (k = 512
   // resolves to 16 entries = 64 bytes = one k = 512 row) while still
@@ -573,35 +512,10 @@ bool Engine::scan_pair(NodeId u, const std::uint64_t* su, NodeId v,
   }
 
   const std::uint64_t* sv = row(v);
-  // Dense linear sweep, widest compiled-in vector path. Each quad (or
-  // pair) is tested for any useful bit at once; only quads that hit pay
-  // for per-word recording.
+  // Dense linear sweep, unrolled four words wide. Each quad is tested for
+  // any useful bit at once; only quads that hit pay for per-word recording.
   const auto linear_sweep = [&] {
     std::uint32_t w = 0;
-#if defined(__AVX2__)
-    for (; w + 4 <= stride_; w += 4) {
-      const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(su + w));
-      const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sv + w));
-      const __m256i d = _mm256_andnot_si256(b, a);  // a & ~b
-      if (_mm256_testz_si256(d, d) != 0) continue;
-      alignas(32) std::uint64_t lane[4];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lane), d);
-      for (std::uint32_t j = 0; j < 4; ++j) {
-        if (lane[j] != 0) record(w + j, lane[j]);
-      }
-    }
-#elif defined(__ARM_NEON) && defined(__aarch64__)
-    for (; w + 2 <= stride_; w += 2) {
-      const uint64x2_t a = vld1q_u64(su + w);
-      const uint64x2_t b = vld1q_u64(sv + w);
-      const uint64x2_t d = vbicq_u64(a, b);  // a & ~b
-      if (vmaxvq_u32(vreinterpretq_u32_u64(d)) == 0) continue;
-      const std::uint64_t d0 = vgetq_lane_u64(d, 0);
-      const std::uint64_t d1 = vgetq_lane_u64(d, 1);
-      if (d0 != 0) record(w, d0);
-      if (d1 != 0) record(w + 1, d1);
-    }
-#else
     for (; w + 4 <= stride_; w += 4) {
       const std::uint64_t d0 = su[w] & ~sv[w];
       const std::uint64_t d1 = su[w + 1] & ~sv[w + 1];
@@ -613,7 +527,6 @@ bool Engine::scan_pair(NodeId u, const std::uint64_t* su, NodeId v,
       if (d2 != 0) record(w + 2, d2);
       if (d3 != 0) record(w + 3, d3);
     }
-#endif
     for (; w < stride_; ++w) {
       const std::uint64_t d = su[w] & ~sv[w];
       if (d != 0) record(w, d);
@@ -899,17 +812,7 @@ void Engine::generate_node(NodeId u, Rng& rng, NodeId first_probe,
 
 void Engine::generate_range(std::uint64_t tick_base, NodeId first, NodeId last,
                             std::vector<Transfer>& out, DiffScan& scan,
-                            ProbeCache& cache, BatchScratch& batch) {
-  if (batch_window_ <= 1) {
-    generate_range_serial(tick_base, first, last, out, scan, cache);
-  } else {
-    generate_range_batched(tick_base, first, last, out, scan, cache, batch);
-  }
-}
-
-void Engine::generate_range_serial(std::uint64_t tick_base, NodeId first,
-                                   NodeId last, std::vector<Transfer>& out,
-                                   DiffScan& scan, ProbeCache& cache) {
+                            ProbeCache& cache) {
   // Software-pipelined windows. The lead pass does everything that needs
   // no remote state — eligibility (all sequential arrays), RNG seeding,
   // the first neighbor draw — and prefetches the probe target's metadata
@@ -986,167 +889,6 @@ void Engine::generate_range_serial(std::uint64_t tick_base, NodeId first,
       emit(wins[cur]);
       break;
     }
-  }
-}
-
-void Engine::generate_range_batched(std::uint64_t tick_base, NodeId first,
-                                    NodeId last, std::vector<Transfer>& out,
-                                    DiffScan& scan, ProbeCache& cache,
-                                    BatchScratch& batch) {
-  // Target-major round machine. A window of batch_window_ senders each
-  // holds exactly ONE in-flight probe; every round evaluates the queued
-  // probes sorted by target — against lines prefetched when they were
-  // queued, a full round of work earlier — and queues + prefetches each
-  // surviving sender's next candidate. The memory system therefore sees a
-  // window of independent miss chains instead of one dependent chain per
-  // sender, which is the whole point: the endgame tick is latency-bound on
-  // exactly these lines.
-  //
-  // Bit-identity argument: the swarm state is FROZEN for the whole generate
-  // phase (commits happen in apply), so every predicate below is a pure
-  // function of (u, v) — evaluation order cannot change any verdict. Each
-  // sender's RNG draws happen in exactly the per-sender path's order (the
-  // lead draw, then one draw per locally- or remotely-rejected candidate,
-  // then the pick draws of an accepted probe, then the next slot's draws),
-  // because a sender never has two candidates in flight. Per-sender buffers
-  // flushed in ascending node order restore the canonical stream.
-  const std::uint32_t W = batch_window_;
-  if (batch.slots.size() < W) {
-    batch.slots.resize(W);
-    batch.buf.resize(W);
-    batch.srows.resize(static_cast<std::size_t>(W) * stride_);
-    batch.pending.reserve(W);
-    batch.next.reserve(W);
-  }
-  auto& slots = batch.slots;
-  auto& pending = batch.pending;
-  auto& next = batch.next;
-
-  // The per-sender path's "out of luck" arm: a slot that ran out of probes
-  // ends the sender's tick; only a tick with no intents at all may stamp
-  // the node sated (see generate_node).
-  const auto slot_fail = [&](std::uint32_t i) {
-    BatchScratch::Slot& s = slots[i];
-    if (batch.buf[i].empty() && opt_.stream_window == 0 &&
-        neighborhood_exhausted(s.u, s.su, scan, cache)) {
-      sated_ver_[s.u] = s.ver + 1;
-    }
-  };
-
-  // Queues sender-window entry i's candidate v (already drawn and counted
-  // in s.probes) for round evaluation, first burning through candidates the
-  // LOCAL rejects kill — self, the server, a repeat target this tick, a
-  // failed §3.2 credit precheck. All are frozen-state predicates the
-  // per-sender path also rejects without touching the target's remote
-  // lines, and each rejected candidate consumes one draw of the slot's
-  // probe budget exactly as its `continue` does. Returns false when the
-  // budget ran out (the sender is done this tick). Prefetches cover every
-  // line the round evaluation may touch: target metadata, missing-summary,
-  // possession row (wasted but harmless for compact targets) and the
-  // compact slot index.
-  const auto enqueue = [&](std::uint32_t i, NodeId v) {
-    BatchScratch::Slot& s = slots[i];
-    for (;;) {
-      bool reject = v == s.u || v == kServer;
-      if (!reject) {
-        for (const Transfer& tr : batch.buf[i]) {
-          if (tr.to == v) {
-            reject = true;
-            break;
-          }
-        }
-      }
-      if (!reject && s.credit &&
-          ledger_.net(s.u, v) + 1 > static_cast<std::int64_t>(opt_.credit_limit)) {
-        reject = true;
-      }
-      if (!reject) break;
-      if (s.probes >= opt_.max_probes) return false;
-      v = topo_->neighbor(s.u, s.rng.below(s.deg));
-      ++s.probes;
-    }
-    __builtin_prefetch(&active_[v], 0, 1);
-    __builtin_prefetch(&count_[v], 0, 1);
-    __builtin_prefetch(summary_missing_row(v), 0, 1);
-    const std::uint64_t* rv = row(v);
-    __builtin_prefetch(rv, 0, 1);
-    if (stride_ > 8) __builtin_prefetch(rv + stride_ - 1, 0, 1);
-    if (compact_missing_ != 0) __builtin_prefetch(&compact_slot_[v], 0, 1);
-    next.push_back(BatchScratch::Pending{v, i});
-    return true;
-  };
-
-  NodeId base = first;
-  while (base < last) {
-    const auto width = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(W, static_cast<std::uint64_t>(last) - base));
-    pending.clear();
-    next.clear();
-    // Lead pass: eligibility (sequential arrays only), RNG seeding, sender-
-    // row resolution, and slot 0's first candidate — the same checks and
-    // the same draws as the serial path's lead.
-    for (std::uint32_t i = 0; i < width; ++i) {
-      const NodeId u = base + i;
-      batch.buf[i].clear();
-      if (active_[u] == 0) continue;
-      const std::uint32_t cu = count_[u];
-      if (cu == 0 || sated_ver_[u] == cu + 1) continue;
-      if (up_caps_[u] == 0) continue;
-      const std::uint32_t deg = topo_->degree(u);
-      if (deg == 0) continue;
-      BatchScratch::Slot& s = slots[i];
-      s.u = u;
-      s.deg = deg;
-      s.ver = cu;
-      s.caps = up_caps_[u];
-      s.slot = 0;
-      s.probes = 1;  // the draw below is slot 0's first candidate
-      s.credit = opt_.credit_limit != 0 && u != kServer;
-      s.rng = Rng(trial_seed(tick_base, u));
-      s.su = resolve_sender_row(
-          u, cu, batch.srows.data() + static_cast<std::size_t>(i) * stride_);
-      if (!enqueue(i, topo_->neighbor(u, s.rng.below(deg)))) slot_fail(i);
-    }
-    std::swap(pending, next);
-
-    while (!pending.empty()) {
-      // Target-major order: consecutive evaluations share the target's
-      // lines. The (v, i) tie-break keeps the order deterministic, though
-      // no verdict depends on it (frozen state, exact predicates).
-      std::sort(pending.begin(), pending.end(),
-                [](const BatchScratch::Pending& a, const BatchScratch::Pending& b) {
-                  return a.v != b.v ? a.v < b.v : a.i < b.i;
-                });
-      next.clear();
-      for (const BatchScratch::Pending& p : pending) {
-        BatchScratch::Slot& s = slots[p.i];
-        const std::uint32_t ver_v = count_[p.v];
-        bool ok = active_[p.v] != 0 && ver_v < k_;
-        if (ok) ok = probe_viable(s.u, s.su, s.ver, p.v, ver_v, scan, cache);
-        if (ok) {
-          // The pick draws from s.rng at the same stream position as the
-          // per-sender path: all of this slot's probe draws are consumed,
-          // and the sender has drawn nothing since this candidate.
-          batch.buf[p.i].push_back(Transfer{s.u, p.v, pick_from_scan(scan, s.rng)});
-          if (++s.slot >= s.caps) continue;  // every upload slot filled
-          s.probes = 0;  // fresh budget for the next slot
-        } else if (s.probes >= opt_.max_probes) {
-          slot_fail(p.i);
-          continue;
-        }
-        ++s.probes;
-        if (!enqueue(p.i, topo_->neighbor(s.u, s.rng.below(s.deg)))) {
-          slot_fail(p.i);
-        }
-      }
-      std::swap(pending, next);
-    }
-
-    // Flush in ascending sender order: the canonical stream slice.
-    for (std::uint32_t i = 0; i < width; ++i) {
-      out.insert(out.end(), batch.buf[i].begin(), batch.buf[i].end());
-    }
-    base += width;
   }
 }
 
@@ -1524,7 +1266,7 @@ void Engine::commit_serial(Tick tick, std::span<const Transfer> accepted) {
     }
     // Mirrors CreditLimited::commit_tick: server-involved transfers never
     // touch the ledger.
-    if (opt_.credit_limit != 0 && tr.from != kServer) ledger_.record(tr.from, tr.to);
+    if (records_ledger() && tr.from != kServer) ledger_.record(tr.from, tr.to);
   }
   fold_retired();
 }
@@ -1616,9 +1358,9 @@ void Engine::apply_merged(Tick tick, std::span<const Transfer> accepted,
   });
 
   // 3d. Ledger commit stays serial: the pairwise map is shared and the pass
-  // only runs in credit mode. Stream order matches apply()'s, so the two
-  // commit paths build the identical ledger.
-  if (opt_.credit_limit != 0) {
+  // only runs where generate reads it (see records_ledger). Stream order
+  // matches apply()'s, so the two commit paths build the identical ledger.
+  if (records_ledger()) {
     for (const Transfer& tr : accepted) {
       if (tr.from != kServer) ledger_.record(tr.from, tr.to);
     }

@@ -32,11 +32,11 @@
 //     summary_missing(v) is nonzero, so near-complete receivers and empty
 //     chunks reject probes in O(ceil(k/4096)) words without touching the
 //     possession rows. Both summaries are maintained in the apply commit.
-//   * a VECTORIZED word-diff scan (AVX2 / NEON when compiled in, an
-//     unrolled four-word uint64 sweep otherwise; ScanKernel::kScalar forces
-//     the one-word reference loop) that records only the nonzero diff words
-//     and their popcounts, in ascending word order — so block selection
-//     consumes the identical RNG draw sequence as the historical scan.
+//   * an UNROLLED word-diff scan (a portable four-word uint64 sweep;
+//     ScanKernel::kScalar forces the one-word reference loop) that records
+//     only the nonzero diff words and their popcounts, in ascending word
+//     order — so block selection consumes the identical RNG draw sequence
+//     as the historical scan.
 //   * PROBE-OUTCOME CACHES, one per sender shard, keyed on (u, v) and both
 //     endpoints' possession versions: a failed probe whose endpoints have
 //     not gained blocks since is rejected O(1) without rescanning. The
@@ -66,8 +66,8 @@
 // on its own. scale::MirrorScheduler replays the exact same plan/apply
 // semantics through core::Engine and the pob/check reference oracle, and
 // the scenario fuzzer cross-checks all three on overlapping n (see
-// pob/check/scenario.h, EngineKind::kScale) — including scalar vs
-// vectorized scan kernels against each other.
+// pob/check/scenario.h, EngineKind::kScale) — including the scalar and
+// unrolled scan kernels against each other.
 
 #pragma once
 
@@ -88,15 +88,15 @@
 
 namespace pob::scale {
 
-/// Which word-diff kernel the generate phase uses. kAuto picks the widest
-/// compiled-in path (AVX2, then NEON, then the unrolled uint64 sweep);
-/// kScalar forces the one-word-at-a-time reference loop. Both orders are
-/// ascending-word and both record identical diffs, so every digest is
-/// bit-identical across kernels — CI pins the 200k run both ways.
+/// Which word-diff kernel the generate phase uses. kAuto is the portable
+/// four-word unrolled uint64 sweep; kScalar forces the one-word-at-a-time
+/// reference loop. Both orders are ascending-word and both record identical
+/// diffs, so every digest is bit-identical across kernels — CI pins the
+/// 200k run both ways.
 enum class ScanKernel : std::uint8_t { kAuto = 0, kScalar = 1 };
 
-/// The name of the path `kernel` resolves to in this build: "avx2", "neon"
-/// or "unrolled" for kAuto (compile-time dispatch), "scalar" for kScalar.
+/// The name of the path `kernel` selects: "unrolled" for kAuto, "scalar"
+/// for kScalar.
 const char* scan_kernel_name(ScanKernel kernel);
 
 /// ScaleOptions::compact_missing sentinel: let the engine pick the endgame
@@ -118,13 +118,11 @@ struct ScaleOptions {
   /// net (pre-tick ledger) stays below the limit. The emitted stream always
   /// satisfies CreditLimited::check_tick.
   ///
-  /// Under kTriangularBarter the limit must be >= 1, but nothing reads the
-  /// ledger: the deterministic schedule is CyclicBarter(3, 1)-compliant by
-  /// construction and never consults it, the engine exposes no accessor,
-  /// and the mirror and fuzz checks run their own CyclicBarter. The commit
-  /// still records every client transfer (CreditLimited's full pairwise
-  /// net, not CyclicBarter's uncleared remainder), which makes the
-  /// triangular apply slower than the binomial one for the same stream.
+  /// Under kTriangularBarter the limit must be >= 1, but the engine keeps no
+  /// ledger for it: the deterministic schedule is CyclicBarter(3, 1)-
+  /// compliant by construction and never consults one, and the mirror and
+  /// fuzz checks run their own CyclicBarter. Only the randomized generate
+  /// reads the ledger, so only kRandomized commits record it.
   std::uint32_t credit_limit = 0;
 
   /// Which ScaleScheduler generates intents; see SchedKind (scheduler.h).
@@ -162,22 +160,6 @@ struct ScaleOptions {
   /// entries are keyed on both endpoints' versions, and the window bound is
   /// a pure function of the receiver's row). Randomized schedulers only.
   std::uint32_t stream_window = 0;
-
-  /// Target-major probe batching in the randomized generate phase: senders
-  /// advance in windows of this many nodes, one probe per round, each
-  /// round's queued probes sorted by target and their lines prefetched a
-  /// round ahead — so the memory system sees a window of independent miss
-  /// chains instead of one dependent chain per sender. 0 = auto: the
-  /// engine batches (width 32) only when the probe working set overflows
-  /// the host's last-level cache — a cache-resident swarm has no misses to
-  /// overlap and measures faster on the plain walk. 1 = off (the
-  /// historical per-sender path, kept for ablation); >= 2 = that exact
-  /// width. Purely a memory schedule: per-
-  /// sender RNG streams, probe verdicts and the canonical sender-ordered
-  /// stream are bit-identical at every setting (the 200k digest pins run
-  /// on, off and auto). Deterministic schedulers opt out via
-  /// ScaleScheduler::batch_window — their intents involve no probing.
-  std::uint32_t batch_window = 0;
 
   /// Endgame row compaction: once an incomplete node is missing at most
   /// this many blocks, its possession row is rewritten as a sorted missing-
@@ -334,11 +316,11 @@ class Engine {
   /// are the only possession changes, so count and version coincide.
   std::uint32_t possession_version(NodeId node) const { return count_[node]; }
 
-  // --- Batching / compaction introspection (tests, benches) ------------
+  // --- Generate / compaction introspection (tests, benches) ------------
 
-  /// The resolved sender-window width of the target-major batched generate
-  /// path (1 = batching off: the historical per-sender probe walk).
-  std::uint32_t batch_window() const { return batch_window_; }
+  /// Senders in flight per generate walk: always 1, the per-sender probe
+  /// walk (kept for bench reports that print it).
+  std::uint32_t batch_window() const { return 1; }
   /// The resolved endgame-compaction threshold (0 = compaction off): an
   /// incomplete node missing at most this many blocks lives as a compact
   /// missing-list instead of a dense arena row.
@@ -465,41 +447,6 @@ class Engine {
     }
   };
 
-  // Per-shard scratch for the target-major batched generate path: a window
-  // of senders advanced one probe per round, the round's queued probes
-  // sorted by target, and per-sender intent buffers whose ascending-node
-  // concatenation restores the canonical sender-ordered stream.
-  struct BatchScratch {
-    struct Slot {
-      Rng rng{0};
-      const std::uint64_t* su = nullptr;  // resolved sender row
-      NodeId u = 0;
-      std::uint32_t deg = 0;
-      std::uint32_t ver = 0;     // u's frozen possession version
-      std::uint32_t caps = 0;    // upload slots this tick
-      std::uint32_t slot = 0;    // upload slots already filled
-      std::uint32_t probes = 0;  // draws consumed in the current slot
-      bool credit = false;       // §3.2 ledger precheck applies
-    };
-    struct Pending {  // one queued probe: sender window slot i -> target v
-      NodeId v;
-      std::uint32_t i;
-    };
-    std::vector<Slot> slots;
-    std::vector<std::vector<Transfer>> buf;  // per-sender intents
-    std::vector<std::uint64_t> srows;        // window * stride sender rows
-    std::vector<Pending> pending;
-    std::vector<Pending> next;
-
-    std::uint64_t memory_bytes() const {
-      std::uint64_t bytes = slots.capacity() * sizeof(Slot) +
-                            srows.capacity() * sizeof(std::uint64_t) +
-                            (pending.capacity() + next.capacity()) * sizeof(Pending);
-      for (const auto& b : buf) bytes += b.capacity() * sizeof(Transfer);
-      return bytes;
-    }
-  };
-
   std::uint64_t* row(NodeId node) {
     return rows_ + static_cast<std::size_t>(node) * stride_;
   }
@@ -520,6 +467,13 @@ class Engine {
   }
 
   std::uint32_t recv_shard_of(NodeId v) const { return v >> recv_shift_; }
+
+  /// True iff commits record the §3.2 pairwise ledger. Only the randomized
+  /// generate reads it (its credit precheck), so the deterministic kinds —
+  /// triangular barter included — skip the record.
+  bool records_ledger() const {
+    return opt_.credit_limit != 0 && opt_.scheduler == SchedKind::kRandomized;
+  }
 
   /// True iff a node at this delivered-block count lives as a compact
   /// missing-list. The count alone decides: compaction triggers exactly when
@@ -557,10 +511,10 @@ class Engine {
   bool scan_pair(NodeId u, const std::uint64_t* su, NodeId v, DiffScan& scan,
                  bool guided) const;
 
-  /// The viability ladder shared by the per-sender and batched generate
-  /// paths: summary/cache prechecks (exact rejections only), the diff scan,
-  /// and the sequential-window admission test. True iff u -> v is viable
-  /// right now, with `scan` holding the recorded diff for the block pick.
+  /// The viability ladder of one probe: summary/cache prechecks (exact
+  /// rejections only), the diff scan, and the sequential-window admission
+  /// test. True iff u -> v is viable right now, with `scan` holding the
+  /// recorded diff for the block pick.
   bool probe_viable(NodeId u, const std::uint64_t* su, std::uint32_t ver_u,
                     NodeId v, std::uint32_t ver_v, DiffScan& scan,
                     ProbeCache& cache);
@@ -630,30 +584,13 @@ class Engine {
   /// holds blocks, not sated, has slots and neighbors).
   void generate_node(NodeId u, Rng& rng, NodeId first_probe,
                      std::vector<Transfer>& out, DiffScan& scan, ProbeCache& cache);
-  /// Emits intents for senders in [first, last): dispatches to the target-
-  /// major batched path (batch_window_ >= 2) or the historical per-sender
-  /// windows of generate_range_serial. Both emit the identical canonical
-  /// sender-ordered stream.
+  /// Emits intents for senders in [first, last), ascending: runs
+  /// generate_node over the range in small double-buffered windows whose
+  /// lead pass seeds each eligible node's RNG, peeks its first probe target
+  /// and prefetches that target's metadata and possession row, so the emit
+  /// pass finds the lines resident instead of stalling per probe.
   void generate_range(std::uint64_t tick_base, NodeId first, NodeId last,
-                      std::vector<Transfer>& out, DiffScan& scan,
-                      ProbeCache& cache, BatchScratch& batch);
-  /// The historical path: runs generate_node over [first, last) in small
-  /// double-buffered windows whose lead pass seeds each eligible node's
-  /// RNG, peeks its first probe target and prefetches that target's
-  /// metadata and possession row, so the emit pass finds the lines resident
-  /// instead of stalling per probe.
-  void generate_range_serial(std::uint64_t tick_base, NodeId first, NodeId last,
-                             std::vector<Transfer>& out, DiffScan& scan,
-                             ProbeCache& cache);
-  /// The target-major batched path: a window of batch_window_ senders holds
-  /// one in-flight probe each; every round sorts the queued probes by
-  /// target, evaluates them against lines prefetched when they were queued
-  /// (a full round earlier), and queues + prefetches each surviving
-  /// sender's next probe. Per-sender draw sequences and verdicts are
-  /// exactly generate_node's; per-sender buffers restore canonical order.
-  void generate_range_batched(std::uint64_t tick_base, NodeId first, NodeId last,
-                              std::vector<Transfer>& out, DiffScan& scan,
-                              ProbeCache& cache, BatchScratch& batch);
+                      std::vector<Transfer>& out, DiffScan& scan, ProbeCache& cache);
   void plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool);
   /// The serial commit loop shared by the public apply() and the sparse-tick
   /// fast path of apply_merged().
@@ -702,7 +639,6 @@ class Engine {
   // sharded apply needs no locks. Slots are free-listed per shard; the
   // assignment order is a pure function of the canonical stream, hence
   // identical at any job count (not that slot indices are observable).
-  std::uint32_t batch_window_ = 1;     // resolved; 1 = batching off
   std::uint32_t compact_missing_ = 0;  // resolved threshold; 0 = off
   std::uint32_t compact_floor_ = 0;    // k_ - compact_missing_, or k_ if off
   HugeBuffer<std::uint32_t> compact_slot_;          // slab slot per node, ~0 = none
@@ -727,7 +663,7 @@ class Engine {
   std::uint32_t num_incomplete_ = 0;
   std::uint32_t num_departed_ = 0;
   std::uint64_t active_slots_ = 0;
-  CreditLedger ledger_;  // §3.2 pairwise net-transfer ledger (credit mode)
+  CreditLedger ledger_;  // §3.2 pairwise net-transfer ledger; see records_ledger
 
   // Receiver shards: contiguous node-id ranges of width recv_width_ (a
   // power of two, so the merge's three million-intent passes shard with a

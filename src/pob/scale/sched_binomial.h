@@ -14,8 +14,8 @@
 // stream under their own CyclicBarter(3, limit) instead of no mechanism —
 // the paper's point being that the optimal cooperative schedule already
 // satisfies relaxed barter, so the price of triangular barter is 1. The
-// engine requires credit_limit >= 1 for this kind and records every client
-// transfer in its pairwise ledger, but nothing reads that ledger.
+// engine requires credit_limit >= 1 for this kind but records no pairwise
+// ledger: the schedule never consults one.
 
 #pragma once
 

@@ -25,13 +25,6 @@ class RandomizedScheduler final : public ScaleScheduler {
 
   const char* name() const override { return "randomized"; }
 
-  /// The randomized family is exactly what target-major batching exists
-  /// for — per-sender probe ladders against random target rows — so the
-  /// engine-resolved request passes through unchanged.
-  std::uint32_t batch_window(std::uint32_t requested) const override {
-    return requested;
-  }
-
   std::uint64_t memory_bytes() const override;
 
  private:
@@ -40,7 +33,6 @@ class RandomizedScheduler final : public ScaleScheduler {
   // and cache entries never cross threads.
   std::vector<Engine::DiffScan> scratch_;
   std::vector<Engine::ProbeCache> cache_;
-  std::vector<Engine::BatchScratch> batch_;
 };
 
 }  // namespace pob::scale

@@ -57,10 +57,9 @@ enum class SchedKind : std::uint8_t {
   /// §3.3 triangular barter: the binomial-pipeline schedule, configured
   /// with credit_limit >= 1. The schedule satisfies CyclicBarter(3, 1), so
   /// relaxing barter to 3-cycles already recovers the optimal cooperative
-  /// time — the paper's "price of triangular barter = 1". The engine's own
-  /// pairwise ledger is recorded but never read; the CyclicBarter(3, 1)
-  /// check lives in the mirror and fuzz oracles (see
-  /// ScaleOptions::credit_limit).
+  /// time — the paper's "price of triangular barter = 1". The engine keeps
+  /// no pairwise ledger for it; the CyclicBarter(3, 1) check lives in the
+  /// mirror and fuzz oracles (see ScaleOptions::credit_limit).
   kTriangularBarter = 3,
 };
 
@@ -95,20 +94,6 @@ class ScaleScheduler {
                         std::vector<Transfer>& /*out*/) {}
 
   virtual const char* name() const = 0;
-
-  /// The sender-window width the engine's target-major probe batching runs
-  /// at for this scheduler, given the engine-resolved request
-  /// (ScaleOptions::batch_window after auto resolution). Only schedulers
-  /// whose generate() walks per-sender probe ladders against random target
-  /// rows (the randomized family) benefit — they return the request; fixed-
-  /// schedule generators opt out by returning 1, since their intents are
-  /// pure index arithmetic with no per-probe memory dependence to overlap.
-  /// Must be a pure function of the request, never of tick state: the
-  /// window is resolved once at construction, and any width must emit the
-  /// identical stream anyway (batching is a memory schedule, not a policy).
-  virtual std::uint32_t batch_window(std::uint32_t /*requested*/) const {
-    return 1;
-  }
 
   /// Scratch + schedule memory owned by the scheduler, for state_bytes().
   virtual std::uint64_t memory_bytes() const { return 0; }

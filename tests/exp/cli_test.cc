@@ -75,6 +75,28 @@ TEST(Cli, NumericFlagErrorsNameTheFlagAndTheText) {
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(), "--sweep: expected an integer, got \"x\"");
   }
+  // Floating-point flags parse the whole text too, and only finite values.
+  const Case double_cases[] = {
+      {"--leave-pct=abc", "--leave-pct: expected a number, got \"abc\""},
+      {"--leave-pct=1.5x", "--leave-pct: expected a number, got \"1.5x\""},
+      {"--leave-pct= 2", "--leave-pct: expected a number, got \" 2\""},
+      {"--leave-pct=1e999", "--leave-pct: expected a number, got \"1e999\""},
+      {"--leave-pct=inf", "--leave-pct: expected a number, got \"inf\""},
+      {"--leave-pct=nan", "--leave-pct: expected a number, got \"nan\""},
+  };
+  for (const Case& c : double_cases) {
+    const Args args = make_args({"prog", c.arg});
+    try {
+      args.get_double("leave-pct", 0.0);
+      ADD_FAILURE() << c.arg << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), c.error) << c.arg;
+    }
+  }
+  EXPECT_DOUBLE_EQ(make_args({"prog", "--leave-pct=-2.5e1"}).get_double("leave-pct", 0.0),
+                   -25.0);
+  EXPECT_DOUBLE_EQ(make_args({"prog", "--leave-pct=20"}).get_double("leave-pct", 0.0), 20.0);
+  EXPECT_DOUBLE_EQ(make_args({"prog"}).get_double("leave-pct", 7.5), 7.5);
 }
 
 TEST(Cli, RejectsPositionalArguments) {

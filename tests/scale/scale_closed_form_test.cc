@@ -4,7 +4,8 @@
 //
 //  - Theorem 1: the binomial pipeline finishes at exactly k - 1 + log2 n on
 //    every power-of-two swarm, and the triangular-barter variant (identical
-//    schedule under a live 3-cycle ledger) matches it tick for tick.
+//    schedule under credit_limit 1) matches it tick for tick — and, keeping
+//    no pairwise ledger, the binomial run's footprint byte for byte.
 //  - Theorem 2 / 3: the riffle pipeline matches the core scheduler's
 //    schedule length, which is the strict-barter optimum n + k - 2 whenever
 //    the last cycle is full ((n - 1) | k).
@@ -118,6 +119,25 @@ INSTANTIATE_TEST_SUITE_P(
       return "n" + std::to_string(std::get<0>(param_info.param)) + "k" +
              std::to_string(std::get<1>(param_info.param));
     });
+
+TEST(ScaleClosedFormLedger, TriangularKeepsNoLedgerSoItsFootprintIsTheBinomials) {
+  // Nothing reads a pairwise ledger under the deterministic schedule, so the
+  // triangular engine records none: after the same full run both kinds
+  // report the same state_bytes. At n = 4096 the early ticks are sparse (the
+  // serial commit) and the later ones dense (the sharded commit), so both
+  // commit sites are covered.
+  const EngineConfig cfg = det_cfg(4096, 64, kUnlimited);
+  const auto bytes_after_run = [&](SchedKind kind) {
+    ScaleOptions opt;
+    opt.scheduler = kind;
+    if (kind == SchedKind::kTriangularBarter) opt.credit_limit = 1;
+    Engine engine(cfg, std::make_shared<Topology>(Topology::complete(4096)), opt, 1);
+    EXPECT_TRUE(engine.run(4).completed);
+    return engine.state_bytes();
+  };
+  EXPECT_EQ(bytes_after_run(SchedKind::kTriangularBarter),
+            bytes_after_run(SchedKind::kBinomialPipeline));
+}
 
 // --- Per-tick set equality against the core schedulers. ---
 

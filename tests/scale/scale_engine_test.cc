@@ -304,7 +304,7 @@ TEST(ScaleEngine, CompactionChurnOnCompactAndCompleteNodesMatchesDense) {
   EXPECT_TRUE(saw_compact_while_inactive);
 }
 
-TEST(ScaleEngine, CompactionAndBatchingAtBlockCountEdges) {
+TEST(ScaleEngine, CompactionAtBlockCountEdges) {
   // k = 1 cannot compact (the band would be the whole file); 63/64/65 put
   // the compact list's word grouping against the tail mask and the word
   // boundary. Oversized explicit thresholds clamp to k - 1. record_trace
@@ -316,20 +316,19 @@ TEST(ScaleEngine, CompactionAndBatchingAtBlockCountEdges) {
     cfg.num_blocks = k;
     cfg.record_trace = true;
     std::uint32_t resolved = 0;
-    const auto digest_with = [&](std::uint32_t batch, std::uint32_t compact) {
+    const auto digest_with = [&](std::uint32_t compact) {
       ScaleOptions opt;
-      opt.batch_window = batch;
       opt.compact_missing = compact;
       Engine engine(cfg, complete_topo(40), opt, 300 + k);
       const std::uint64_t d = run_result_digest(engine.run(1));
       resolved = engine.compact_threshold();
       return d;
     };
-    const std::uint64_t base = digest_with(1, 0);
+    const std::uint64_t base = digest_with(0);
     EXPECT_EQ(resolved, 0u);
-    EXPECT_EQ(digest_with(0, kCompactAuto), base);
+    EXPECT_EQ(digest_with(kCompactAuto), base);
     EXPECT_EQ(resolved, k >= 2 ? std::clamp(k / 32u, 2u, 16u) : 0u);
-    EXPECT_EQ(digest_with(4, 1000), base);
+    EXPECT_EQ(digest_with(1000), base);
     EXPECT_EQ(resolved, k >= 2 ? k - 1 : 0u);
   }
 }
