@@ -61,9 +61,8 @@ int main_impl(int argc, char** argv) {
   const auto topo = std::make_shared<scale::Topology>(
       scale::Topology::from_graph(make_random_regular(n, degree, topo_rng)));
 
-  // The ablation grid: both scan kernels. Compaction stays at its default;
-  // at the frozen mid-run tick the compact band is empty or nearly so, and
-  // this bench is about probing.
+  // The ablation grid: both scan kernels, each probing the same frozen
+  // mid-run state.
   std::vector<ConfigPoint> points;
   std::vector<Transfer> stream;
   std::vector<Transfer> reference;

@@ -82,9 +82,9 @@ struct SweepPoint {
 
 int main_impl(int argc, char** argv) {
   const Args args(argc, argv);
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 1000000));
-  const auto k = static_cast<std::uint32_t>(args.get_int("k", 256));
-  const auto degree = static_cast<std::uint32_t>(args.get_int("degree", 16));
+  const auto n = args.get_uint("n", 1000000);
+  const auto k = args.get_uint("k", 256);
+  const auto degree = args.get_uint("degree", 16);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
   std::vector<unsigned> sweep;
@@ -100,17 +100,15 @@ int main_impl(int argc, char** argv) {
   spec.seed = seed;
   spec.config.num_nodes = n;
   spec.config.num_blocks = k;
-  spec.config.server_upload_capacity =
-      static_cast<std::uint32_t>(args.get_int("server-up", 8));
-  spec.config.max_ticks = static_cast<Tick>(args.get_int("cap", 0));
+  spec.config.server_upload_capacity = args.get_uint("server-up", 8);
+  spec.config.max_ticks = args.get_uint("cap", 0);
 
   const std::string workload = args.get_string("workload", "flash");
   if (workload == "flash" || workload == "flash-crowd") {
     // The flash crowd: 90% of the swarm lands inside a 16-tick spike.
     spec.workload.arrivals = scale::stream::ArrivalPattern::kFlashCrowd;
-    spec.workload.flash_start = static_cast<Tick>(args.get_int("flash-start", 8));
-    spec.workload.flash_width =
-        static_cast<std::uint32_t>(args.get_int("flash-width", 16));
+    spec.workload.flash_start = args.get_uint("flash-start", 8);
+    spec.workload.flash_width = args.get_uint("flash-width", 16);
   } else if (workload == "poisson") {
     // Steady trickle. gap16 = 2 is the densest non-degenerate rate (~16
     // arrivals/tick: the geometric gap has mean gap16 - 1 subticks), so a
@@ -118,14 +116,11 @@ int main_impl(int argc, char** argv) {
     // sated tail is exactly what this workload measures against the flash
     // crowd's compressed burst.
     spec.workload.arrivals = scale::stream::ArrivalPattern::kPoisson;
-    spec.workload.mean_gap16 =
-        static_cast<std::uint32_t>(args.get_int("gap16", n >= 100000 ? 2 : 8));
+    spec.workload.mean_gap16 = args.get_uint("gap16", n >= 100000 ? 2 : 8);
   } else if (workload == "burst") {
     spec.workload.arrivals = scale::stream::ArrivalPattern::kBurst;
-    spec.workload.burst_size =
-        static_cast<std::uint32_t>(args.get_int("burst-size", n / 64 + 1));
-    spec.workload.burst_period =
-        static_cast<std::uint32_t>(args.get_int("burst-period", 4));
+    spec.workload.burst_size = args.get_uint("burst-size", n / 64 + 1);
+    spec.workload.burst_period = args.get_uint("burst-period", 4);
   } else if (workload == "batch") {
     spec.workload.arrivals = scale::stream::ArrivalPattern::kAllAtStart;
   } else {
@@ -133,25 +128,24 @@ int main_impl(int argc, char** argv) {
                                 " (flash | poisson | burst | batch)");
   }
 
-  const auto classes = static_cast<std::uint32_t>(args.get_int("classes", 0));
+  const auto classes = args.get_uint("classes", 0);
   for (std::uint32_t i = 0; i < classes; ++i) {
     spec.workload.rate_classes.push_back(
         {classes - i, 1 + i, i == 0 ? kUnlimited : 2 * (1 + i)});
   }
-  spec.workload.rate_changes = static_cast<std::uint32_t>(args.get_int("churn", 0));
-  spec.workload.rate_change_horizon = static_cast<Tick>(args.get_int("horizon", 64));
+  spec.workload.rate_changes = args.get_uint("churn", 0);
+  spec.workload.rate_change_horizon = args.get_uint("horizon", 64);
 
-  spec.demand.window = static_cast<std::uint32_t>(args.get_int("window", 0));
-  spec.demand.startup_blocks =
-      static_cast<std::uint32_t>(args.get_int("startup", 4));
-  spec.demand.interval = static_cast<Tick>(args.get_int("interval", 1));
+  spec.demand.window = args.get_uint("window", 0);
+  spec.demand.startup_blocks = args.get_uint("startup", 4);
+  spec.demand.interval = args.get_uint("interval", 1);
   spec.demand.deadlines = args.has("deadlines");
-  spec.demand.deadline_slack = static_cast<Tick>(args.get_int("slack", 2));
+  spec.demand.deadline_slack = args.get_uint("slack", 2);
 
   spec.options.policy = args.get_string("policy", "random") == "random"
                             ? BlockPolicy::kRandom
                             : BlockPolicy::kRarestFirst;
-  spec.options.max_probes = static_cast<std::uint32_t>(args.get_int("probes", 16));
+  spec.options.max_probes = args.get_uint("probes", 16);
   spec.options.scan_kernel = args.get_string("simd", "auto") == "off"
                                  ? scale::ScanKernel::kScalar
                                  : scale::ScanKernel::kAuto;

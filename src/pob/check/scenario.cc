@@ -776,18 +776,6 @@ scale::ScaleOptions make_scale_options(const Scenario& sc) {
   // it visits.
   opt.scan_kernel = ((sc.seed >> 41) & 1) != 0 ? scale::ScanKernel::kScalar
                                                : scale::ScanKernel::kAuto;
-  // Endgame compaction is a memory schedule the digests must be blind to;
-  // sample it across off / auto / explicit so every fuzzed shape also
-  // cross-checks it against the historical dense-row path. Explicit values
-  // deliberately overshoot (thresholds near k) — the engine clamps, and the
-  // clamped runs must still match.
-  switch ((sc.seed >> 50) % 4) {
-    case 0: opt.compact_missing = 0; break;          // off
-    case 1: opt.compact_missing = scale::kCompactAuto; break;
-    default:
-      opt.compact_missing = 1 + static_cast<std::uint32_t>((sc.seed >> 52) % 96);
-      break;
-  }
   return opt;
 }
 

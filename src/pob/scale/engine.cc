@@ -59,14 +59,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 // scaffolding starts paying for itself.
 constexpr std::uint32_t kSparseTickIntents = 2048;
 
-// compact_slot_ sentinel: node has no slab slot (dense or complete).
-constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
-// Granularity of the endgame arena release — hugemem's hugetlb unit, the
-// coarsest page size the arena can sit on, so huge_release is valid for
-// every mapping kind.
-constexpr std::size_t kArenaChunk = std::size_t{2} << 20;
-
 }  // namespace
 
 const char* scan_kernel_name(ScanKernel kernel) {
@@ -386,71 +378,13 @@ Engine::Engine(const EngineConfig& config, std::shared_ptr<const Topology> topol
   std::sort(departures_.begin(), departures_.end());
 
   // One shared all-ones row for every complete sender's scans: identical
-  // words to a complete arena row, so recordings cannot change — it is both
-  // a hot-line win (a million complete senders share 64 bytes) and the
-  // reader that makes retiring complete rows legal.
+  // words to a complete arena row, so recordings cannot change, and a
+  // million complete senders share one hot line instead of their own rows.
   full_row_.assign(stride_, 0);
   for (std::uint32_t w = 0; w < stride_; ++w) full_row_[w] = word_full_mask(w);
-
-  // Endgame compaction: the auto threshold keeps a slab slot at or below
-  // the size of the dense row it replaces for the bench shapes (k = 512
-  // resolves to 16 entries = 64 bytes = one k = 512 row) while still
-  // covering the probe-futile tail where the dense representation thrashes.
-  std::uint32_t threshold = 0;
-  if (opt_.compact_missing != 0 && k_ >= 2) {
-    threshold = opt_.compact_missing == kCompactAuto
-                    ? std::clamp(k_ / 32u, 2u, 16u)
-                    : opt_.compact_missing;
-    threshold = std::min(threshold, k_ - 1);
-  }
-  compact_missing_ = threshold;
-  compact_floor_ = k_ - compact_missing_;  // == k_ when off: empty band
-  if (compact_missing_ != 0) {
-    compact_slot_.reset(n_);
-    std::memset(compact_slot_.data(), 0xff,
-                static_cast<std::size_t>(n_) * sizeof(std::uint32_t));
-    compact_pool_.resize(recv_shards_);
-    compact_free_.resize(recv_shards_);
-    retired_shards_.resize(recv_shards_);
-    // Live-row counts per 2 MiB arena chunk. Chunks are the aligned blocks
-    // fully inside the requested allocation; rows ahead of the first
-    // boundary (at most one chunk's worth) simply never release.
-    const auto lo = reinterpret_cast<std::uintptr_t>(rows_);
-    const auto hi = reinterpret_cast<std::uintptr_t>(bits_.data()) +
-                    bits_.size() * sizeof(std::uint64_t);
-    chunk_base_ = (lo + kArenaChunk - 1) & ~(kArenaChunk - 1);
-    const std::size_t chunks =
-        hi > chunk_base_ ? (hi - chunk_base_) / kArenaChunk : 0;
-    chunk_live_.assign(chunks, 0);
-    const std::size_t row_bytes = static_cast<std::size_t>(stride_) * 8;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t off = (chunk_base_ - lo) + c * kArenaChunk;
-      const std::size_t v_first = off / row_bytes;
-      if (v_first >= n_) break;  // the rest covers only alignment slack
-      const std::size_t v_last =
-          std::min<std::size_t>(n_ - 1, (off + kArenaChunk - 1) / row_bytes);
-      chunk_live_[c] = static_cast<std::uint32_t>(v_last - v_first + 1);
-    }
-  }
 }
 
 BlockId Engine::top_block(NodeId node) const {
-  const std::uint32_t c = count_[node];
-  // Complete rows may be retired by endgame compaction; no row read.
-  if (c >= k_) return static_cast<BlockId>(k_ - 1);
-  if (node_is_compact(c)) {
-    // Highest block NOT on the missing-list: walk candidates down from
-    // k - 1 against the sorted list's tail. A compact node holds at least
-    // compact_floor_ >= 1 blocks, so the walk ends at a held block.
-    const std::uint32_t* list = compact_list(node);
-    std::uint32_t j = k_ - c;
-    auto b = static_cast<BlockId>(k_ - 1);
-    while (j != 0 && list[j - 1] == b) {
-      --j;
-      --b;
-    }
-    return b;
-  }
   const std::uint64_t* hs = summary_has_row(node);
   for (std::uint32_t g = sum_stride_; g-- > 0;) {
     const std::uint64_t sword = hs[g];
@@ -485,31 +419,6 @@ bool Engine::scan_pair(NodeId u, const std::uint64_t* su, NodeId v,
     ++entries;
     total += c;
   };
-
-  const std::uint32_t cv = count_[v];
-  if (node_is_compact(cv)) {
-    // Compact receiver: group the sorted missing-list by possession word.
-    // For a missing word w the mask of listed bits IS ~sv[w] masked to the
-    // word, and su's tail bits are zero, so each recorded diff equals the
-    // dense su[w] & ~sv[w] exactly, visited in the same ascending word
-    // order — identical entries under every kernel setting. (The retired
-    // arena row is never touched; `guided` is irrelevant on this path.)
-    const std::uint32_t* list = compact_list(v);
-    const std::uint32_t m = k_ - cv;
-    for (std::uint32_t i = 0; i < m;) {
-      const std::uint32_t w = list[i] >> 6;
-      std::uint64_t miss = 0;
-      do {
-        miss |= 1ULL << (list[i] & 63);
-        ++i;
-      } while (i < m && (list[i] >> 6) == w);
-      const std::uint64_t d = su[w] & miss;
-      if (d != 0) record(w, d);
-    }
-    scan.entries = entries;
-    scan.total = total;
-    return total != 0;
-  }
 
   const std::uint64_t* sv = row(v);
   // Dense linear sweep, unrolled four words wide. Each quad is tested for
@@ -658,9 +567,7 @@ bool Engine::probe_viable(NodeId u, const std::uint64_t* su, std::uint32_t ver_u
   // small; the saturated midgame — where nearly every probe is useful —
   // skips straight to the scan and never touches the summary rows or
   // the cache. Gating cannot change results: both checks are exact
-  // rejections, so consulting them less often only costs scans. The
-  // summaries stay authoritative for compact receivers (compact_remove
-  // maintains them), so every rung is exact for both representations.
+  // rejections, so consulting them less often only costs scans.
   const bool maybe_useless =
       static_cast<std::uint64_t>(ver_u) * (k_ - ver_v) <
       (static_cast<std::uint64_t>(k_) << 3);
@@ -679,27 +586,6 @@ bool Engine::probe_viable(NodeId u, const std::uint64_t* su, std::uint32_t ver_u
   }
   return scan_pair(u, su, v, scan, /*guided=*/false) &&
          (window == 0 || window_admits(v, scan));
-}
-
-const std::uint64_t* Engine::resolve_sender_row(NodeId u, std::uint32_t ver_u,
-                                                std::uint64_t* dst) const {
-  if (ver_u >= k_) return full_row_.data();
-  if (node_is_compact(ver_u)) {
-    materialize_row(u, dst);
-    return dst;
-  }
-  return row(u);
-}
-
-void Engine::materialize_row(NodeId u, std::uint64_t* dst) const {
-  // Dense equivalent of the compact missing-list: full masks minus the
-  // listed gaps. Word-for-word what the retired arena row held.
-  for (std::uint32_t w = 0; w < stride_; ++w) dst[w] = word_full_mask(w);
-  const std::uint32_t* list = compact_list(u);
-  const std::uint32_t m = k_ - count_[u];
-  for (std::uint32_t i = 0; i < m; ++i) {
-    dst[list[i] >> 6] &= ~(1ULL << (list[i] & 63));
-  }
 }
 
 bool Engine::neighborhood_exhausted(NodeId u, const std::uint64_t* su,
@@ -729,11 +615,7 @@ bool Engine::neighborhood_exhausted(NodeId u, const std::uint64_t* su,
     const std::uint32_t cv = count_[v];
     if (active_[v] == 0 || cv >= k_) continue;
     __builtin_prefetch(summary_missing_row(v), 0, 1);
-    if (node_is_compact(cv)) {
-      __builtin_prefetch(compact_list(v), 0, 1);
-    } else {
-      __builtin_prefetch(row(v), 0, 1);
-    }
+    __builtin_prefetch(row(v), 0, 1);
   }
   for (std::uint32_t i = 0; i < deg; ++i) {
     const NodeId v = topo_->neighbor(u, i);
@@ -756,7 +638,10 @@ void Engine::generate_node(NodeId u, Rng& rng, NodeId first_probe,
                            std::vector<Transfer>& out, DiffScan& scan,
                            ProbeCache& cache) {
   const std::uint32_t ver_u = count_[u];
-  const std::uint64_t* su = resolve_sender_row(u, ver_u, scan.srow.data());
+  // A complete sender scans through the shared all-ones full_row_ (one hot
+  // line instead of a million identical ones); it equals the arena row word
+  // for word, so scan recordings cannot differ.
+  const std::uint64_t* su = ver_u >= k_ ? full_row_.data() : row(u);
   const std::uint32_t slots = up_caps_[u];
   const std::uint32_t deg = topo_->degree(u);
   const std::size_t first_intent = out.size();
@@ -1143,108 +1028,12 @@ void Engine::note_delivery(NodeId to, BlockId block, std::uint64_t word) {
 }
 
 bool Engine::deliver_block(NodeId to, BlockId block) {
-  const std::uint32_t c = count_[to];
-  if (node_is_compact(c)) {
-    compact_remove(to, block);
-    count_[to] = c + 1;
-    if (c + 1 < k_) return false;
-    // Completed out of the compact band: the slab slot frees for reuse (the
-    // arena row was retired when the node entered the band).
-    compact_free_[recv_shard_of(to)].push_back(compact_slot_[to]);
-    compact_slot_[to] = kNoSlot;
-    return true;
-  }
   std::uint64_t& word = row(to)[block >> 6];
   const std::uint64_t bit = 1ULL << (block & 63);
   assert((word & bit) == 0 && "duplicate delivery slipped through the merge");
   word |= bit;
   note_delivery(to, block, word);
-  count_[to] = c + 1;
-  if (c + 1 >= k_) return true;
-  // Crossing into the compact band happens at most once per node (counts
-  // only grow), so every node compacts at most once per run.
-  if (c + 1 >= compact_floor_) compact_node(to);
-  return false;
-}
-
-void Engine::compact_node(NodeId v) {
-  const std::uint32_t shard = recv_shard_of(v);
-  auto& pool = compact_pool_[shard];
-  auto& free_slots = compact_free_[shard];
-  std::uint32_t slot;
-  if (!free_slots.empty()) {
-    slot = free_slots.back();
-    free_slots.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(pool.size() / compact_missing_);
-    pool.resize(pool.size() + compact_missing_);
-  }
-  std::uint32_t* list = pool.data() + static_cast<std::size_t>(slot) * compact_missing_;
-  const std::uint64_t* r = row(v);
-  std::uint32_t m = 0;
-  for (std::uint32_t w = 0; w < stride_; ++w) {
-    std::uint64_t gap = ~r[w] & word_full_mask(w);
-    while (gap != 0) {
-      list[m++] = (w << 6) + static_cast<std::uint32_t>(std::countr_zero(gap));
-      gap &= gap - 1;
-    }
-  }
-  assert(m == k_ - count_[v] && m <= compact_missing_);
-  (void)m;
-  compact_slot_[v] = slot;
-  // The arena row is dead from here on (every reader branches on the count
-  // first); its chunk bookkeeping folds serially after the commit.
-  retired_shards_[shard].push_back(v);
-}
-
-void Engine::compact_remove(NodeId v, BlockId block) {
-  std::uint32_t* list =
-      compact_pool_[recv_shard_of(v)].data() +
-      static_cast<std::size_t>(compact_slot_[v]) * compact_missing_;
-  const std::uint32_t m = k_ - count_[v];
-  std::uint32_t idx = 0;
-  while (idx + 1 < m && list[idx] != block) ++idx;
-  assert(list[idx] == block && "duplicate delivery slipped through the merge");
-  const std::uint32_t w = block >> 6;
-  // Does any other missing entry share the possession word? The list is
-  // sorted, so only the immediate neighbors can.
-  const bool word_has_more = (idx > 0 && (list[idx - 1] >> 6) == w) ||
-                             (idx + 1 < m && (list[idx + 1] >> 6) == w);
-  std::memmove(list + idx, list + idx + 1,
-               (m - 1 - idx) * sizeof(std::uint32_t));
-  const std::size_t g = static_cast<std::size_t>(v) * sum_stride_ + (w >> 6);
-  const std::uint64_t chunk_bit = 1ULL << (w & 63);
-  summary_has_[g] |= chunk_bit;
-  if (!word_has_more) summary_missing_[g] &= ~chunk_bit;
-}
-
-void Engine::fold_retired() {
-  if (compact_missing_ == 0) return;
-  const auto lo = reinterpret_cast<std::uintptr_t>(rows_);
-  const std::size_t row_bytes = static_cast<std::size_t>(stride_) * 8;
-  for (auto& retired : retired_shards_) {
-    for (const NodeId v : retired) {
-      const std::uintptr_t a = lo + static_cast<std::size_t>(v) * row_bytes;
-      const std::uintptr_t b = a + row_bytes;
-      if (b <= chunk_base_) continue;  // wholly ahead of the first chunk
-      const std::size_t c_first =
-          a > chunk_base_ ? (a - chunk_base_) / kArenaChunk : 0;
-      const std::size_t c_last = (b - 1 - chunk_base_) / kArenaChunk;
-      for (std::size_t c = c_first; c <= c_last && c < chunk_live_.size(); ++c) {
-        assert(chunk_live_[c] != 0);
-        if (--chunk_live_[c] == 0) {
-          // Every row intersecting this 2 MiB chunk is retired: hand the
-          // pages back. Reads never happen again (all readers branch on the
-          // count), and even a stray prefetch of a released page is
-          // harmless. huge_release failing (old kernel) just keeps the
-          // chunk resident.
-          arena_released_bytes_ += huge_release(
-              reinterpret_cast<void*>(chunk_base_ + c * kArenaChunk), kArenaChunk);
-        }
-      }
-    }
-    retired.clear();
-  }
+  return ++count_[to] >= k_;
 }
 
 void Engine::apply(Tick tick, std::span<const Transfer> accepted) {
@@ -1268,7 +1057,6 @@ void Engine::commit_serial(Tick tick, std::span<const Transfer> accepted) {
     // touch the ledger.
     if (records_ledger() && tr.from != kServer) ledger_.record(tr.from, tr.to);
   }
-  fold_retired();
 }
 
 void Engine::apply_merged(Tick tick, std::span<const Transfer> accepted,
@@ -1318,8 +1106,8 @@ void Engine::apply_merged(Tick tick, std::span<const Transfer> accepted,
       const Transfer& tr = bucket_[i].tr;
       ++freq_row[tr.block];
       // deliver_block touches only receiver-owned state (row/summaries/
-      // count, and the receiver shard's compact slab), so the sharded and
-      // serial commits stay observationally identical.
+      // count), so the sharded and serial commits stay observationally
+      // identical.
       if (deliver_block(tr.to, tr.block)) {
         completion_[tr.to] = tick;
         ++completions;
@@ -1336,7 +1124,6 @@ void Engine::apply_merged(Tick tick, std::span<const Transfer> accepted,
                       leaving_shards_[r].end());
     }
   }
-  fold_retired();  // serial: chunk counts + page release for retired rows
 
   // 3b. Fold per-shard frequency deltas into freq_ in fixed shard order.
   freq_scratch_.reduce_into(freq_.data(), pool);
@@ -1376,27 +1163,16 @@ void Engine::deactivate(NodeId node) {
   active_[node] = 0;
   ++num_departed_;
   active_slots_ -= up_caps_[node];
-  const std::uint32_t c = count_[node];
-  if (c >= k_ || node_is_compact(c)) {
-    // The arena row may be retired: adjust every block, then put back the
-    // missing ones (none for a complete node, the compact list otherwise).
-    for (BlockId b = 0; b < k_; ++b) --freq_[b];
-    if (c < k_) {
-      const std::uint32_t* list = compact_list(node);
-      for (std::uint32_t i = 0; i < k_ - c; ++i) ++freq_[list[i]];
-    }
-  } else {
-    const std::uint64_t* r = row(node);
-    for (std::uint32_t w = 0; w < stride_; ++w) {
-      std::uint64_t held = r[w];
-      while (held != 0) {
-        const auto b = (w << 6) + static_cast<std::uint32_t>(std::countr_zero(held));
-        held &= held - 1;
-        --freq_[b];
-      }
+  const std::uint64_t* r = row(node);
+  for (std::uint32_t w = 0; w < stride_; ++w) {
+    std::uint64_t held = r[w];
+    while (held != 0) {
+      const auto b = (w << 6) + static_cast<std::uint32_t>(std::countr_zero(held));
+      held &= held - 1;
+      --freq_[b];
     }
   }
-  if (c < k_) --num_incomplete_;
+  if (count_[node] < k_) --num_incomplete_;
   // No summary/version/cache bookkeeping: a departure removes viability, it
   // never creates any, so cached "useless" verdicts and sated stamps about
   // the survivors stay valid.
@@ -1410,26 +1186,16 @@ void Engine::activate(NodeId node) {
   active_[node] = 1;
   --num_departed_;
   active_slots_ += up_caps_[node];
-  const std::uint32_t c = count_[node];
-  if (c >= k_ || node_is_compact(c)) {
-    // Mirror of deactivate's retired-row path.
-    for (BlockId b = 0; b < k_; ++b) ++freq_[b];
-    if (c < k_) {
-      const std::uint32_t* list = compact_list(node);
-      for (std::uint32_t i = 0; i < k_ - c; ++i) --freq_[list[i]];
-    }
-  } else {
-    const std::uint64_t* r = row(node);
-    for (std::uint32_t w = 0; w < stride_; ++w) {
-      std::uint64_t held = r[w];
-      while (held != 0) {
-        const auto b = (w << 6) + static_cast<std::uint32_t>(std::countr_zero(held));
-        held &= held - 1;
-        ++freq_[b];
-      }
+  const std::uint64_t* r = row(node);
+  for (std::uint32_t w = 0; w < stride_; ++w) {
+    std::uint64_t held = r[w];
+    while (held != 0) {
+      const auto b = (w << 6) + static_cast<std::uint32_t>(std::countr_zero(held));
+      held &= held - 1;
+      ++freq_[b];
     }
   }
-  if (c < k_) ++num_incomplete_;
+  if (count_[node] < k_) ++num_incomplete_;
   // Unlike deactivate, an arrival CREATES viability: the new node is a fresh
   // target, so "no viable neighbor" verdicts about its neighbors are stale.
   // Sated stamps are not version-keyed (that is their point), so they must
@@ -1482,9 +1248,6 @@ std::span<const Transfer> Engine::step(ThreadPool* pool) {
 }
 
 BlockId Engine::first_missing(NodeId node) const {
-  const std::uint32_t c = count_[node];
-  if (c >= k_) return k_;  // complete; the arena row may be retired
-  if (node_is_compact(c)) return compact_list(node)[0];
   const std::uint64_t* miss = summary_missing_row(node);
   for (std::uint32_t g = 0; g < sum_stride_; ++g) {
     if (miss[g] == 0) continue;
@@ -1585,17 +1348,7 @@ std::uint64_t Engine::state_bytes() const {
   bytes += uploads_per_node_.size() * sizeof(Count);
   bytes += down_used_.size() * sizeof(std::uint32_t);
   bytes += down_stamp_.size() * sizeof(Tick);
-  // Endgame-compaction state: the shared full row, per-node slot indices,
-  // the per-shard missing-list slabs and free lists, retirement queues and
-  // chunk live counts. (The arena bytes already released back to the OS are
-  // NOT subtracted from bits_ above: state_bytes reports allocated address
-  // space, and arena_released_bytes() reports the give-back separately.)
   bytes += full_row_.capacity() * sizeof(std::uint64_t);
-  bytes += compact_slot_.size() * sizeof(std::uint32_t);
-  for (const auto& pool : compact_pool_) bytes += pool.capacity() * sizeof(std::uint32_t);
-  for (const auto& f : compact_free_) bytes += f.capacity() * sizeof(std::uint32_t);
-  for (const auto& r : retired_shards_) bytes += r.capacity() * sizeof(NodeId);
-  bytes += chunk_live_.capacity() * sizeof(std::uint32_t);
   // Tick scratch: the per-shard intent vectors, diff-scan recordings and
   // probe caches, the admission tables, the merge buckets/flags/offsets,
   // apply scratch and the accepted stream all persist between ticks at

@@ -71,7 +71,6 @@
 
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -98,10 +97,6 @@ enum class ScanKernel : std::uint8_t { kAuto = 0, kScalar = 1 };
 /// The name of the path `kernel` selects: "unrolled" for kAuto, "scalar"
 /// for kScalar.
 const char* scan_kernel_name(ScanKernel kernel);
-
-/// ScaleOptions::compact_missing sentinel: let the engine pick the endgame
-/// compaction threshold (a pure function of k, tuned for the bench shapes).
-inline constexpr std::uint32_t kCompactAuto = 0xffffffffu;
 
 struct ScaleOptions {
   /// Block selection within u \ v: uniform random or globally rarest first
@@ -160,20 +155,6 @@ struct ScaleOptions {
   /// entries are keyed on both endpoints' versions, and the window bound is
   /// a pure function of the receiver's row). Randomized schedulers only.
   std::uint32_t stream_window = 0;
-
-  /// Endgame row compaction: once an incomplete node is missing at most
-  /// this many blocks, its possession row is rewritten as a sorted missing-
-  /// list in a per-receiver-shard slab, the arena row is retired, and 2 MiB
-  /// arena chunks whose rows have all retired are released back to the OS
-  /// (hugemem huge_release) — the late-run possession working set shrinks
-  /// from O(n * k / 8) bytes toward O(total missing). Probes against
-  /// compact receivers walk the missing-list instead of the row and record
-  /// the identical diff words; summaries stay authoritative and maintained.
-  /// 0 = off (rows stay dense forever, the historical representation);
-  /// kCompactAuto = engine-tuned threshold; other values are used as-is
-  /// (internally clamped to k - 1). Results are bit-identical on or off at
-  /// any job count, for randomized and deterministic schedulers alike.
-  std::uint32_t compact_missing = kCompactAuto;
 };
 
 /// Wall-clock seconds accumulated per tick phase (see
@@ -278,13 +259,9 @@ class Engine {
   bool is_active(NodeId node) const { return active_[node] != 0; }
   bool is_complete(NodeId node) const { return count_[node] >= k_; }
   bool all_complete() const { return num_incomplete_ == 0; }
+  /// One possession-word read: every node keeps its dense row from start
+  /// to finish, complete nodes included.
   bool has(NodeId node, BlockId block) const {
-    const std::uint32_t c = count_[node];
-    if (c >= k_) return true;  // complete rows may be retired; no row read
-    if (node_is_compact(c)) {
-      const std::uint32_t* list = compact_list(node);
-      return !std::binary_search(list, list + (k_ - c), block);
-    }
     return (row(node)[block >> 6] >> (block & 63)) & 1u;
   }
   /// Highest block id `node` holds, kNoBlock if none — O(summary words) via
@@ -316,33 +293,30 @@ class Engine {
   /// are the only possession changes, so count and version coincide.
   std::uint32_t possession_version(NodeId node) const { return count_[node]; }
 
-  // --- Generate / compaction introspection (tests, benches) ------------
+  // --- Generate introspection (bench reports) ---------------------------
+  // Bench reports print these three. The engine has one per-sender walk
+  // and one dense possession row per node, so each is a constant.
 
   /// Senders in flight per generate walk: always 1, the per-sender probe
-  /// walk (kept for bench reports that print it).
+  /// walk.
   std::uint32_t batch_window() const { return 1; }
-  /// The resolved endgame-compaction threshold (0 = compaction off): an
-  /// incomplete node missing at most this many blocks lives as a compact
-  /// missing-list instead of a dense arena row.
-  std::uint32_t compact_threshold() const { return compact_missing_; }
-  /// True iff `node`'s possession currently lives as a compact missing-list
-  /// (its arena row is retired and must not be read).
-  bool is_compact(NodeId node) const { return node_is_compact(count_[node]); }
-  /// Possession-arena bytes handed back to the OS by endgame compaction so
-  /// far (whole 2 MiB chunks whose rows have all retired).
-  std::uint64_t arena_released_bytes() const { return arena_released_bytes_; }
+  /// Endgame-compaction threshold: always 0, every row stays dense.
+  std::uint32_t compact_threshold() const { return 0; }
+  /// Possession-arena bytes handed back to the OS mid-run: always 0, the
+  /// arena lives until the engine does.
+  std::uint64_t arena_released_bytes() const { return 0; }
 
   /// Per-phase wall-clock for the current/most recent run() call (or the
   /// lockstep drive so far); zeros unless options().collect_phase_timings.
   PhaseTimings phase_timings() const { return timings_; }
 
   /// Arena + index + tick-scratch memory actually allocated, for bench
-  /// reporting: possession arena and summaries, per-node arrays (counts —
-  /// which double as possession versions — sated stamps, capacities, upload
-  /// totals), topology CSR, the
-  /// per-shard intent vectors, diff-scan scratch and probe caches, the
-  /// merge/apply scratch (buckets, accept flags, admission tables,
-  /// frequency scratch), and the credit ledger.
+  /// reporting: possession arena and summaries, the shared full row,
+  /// per-node arrays (counts — which double as possession versions — sated
+  /// stamps, capacities, upload totals), topology CSR, the per-shard intent
+  /// vectors, diff-scan scratch and probe caches, the merge/apply scratch
+  /// (buckets, accept flags, admission tables, frequency scratch), and the
+  /// credit ledger. Nothing is freed mid-run, so the figure never shrinks.
   std::uint64_t state_bytes() const;
 
  private:
@@ -435,15 +409,13 @@ class Engine {
     std::vector<std::uint32_t> widx;   // possession-word index per entry
     std::vector<std::uint64_t> words;  // su[w] & ~sv[w], nonzero only
     std::vector<std::uint32_t> pc;     // popcount per entry
-    std::vector<std::uint64_t> srow;   // materialized compact-sender row
     std::uint32_t entries = 0;
     std::uint32_t total = 0;  // sum of pc over entries
 
     std::uint64_t memory_bytes() const {
       return widx.capacity() * sizeof(std::uint32_t) +
              words.capacity() * sizeof(std::uint64_t) +
-             pc.capacity() * sizeof(std::uint32_t) +
-             srow.capacity() * sizeof(std::uint64_t);
+             pc.capacity() * sizeof(std::uint32_t);
     }
   };
 
@@ -475,38 +447,15 @@ class Engine {
     return opt_.credit_limit != 0 && opt_.scheduler == SchedKind::kRandomized;
   }
 
-  /// True iff a node at this delivered-block count lives as a compact
-  /// missing-list. The count alone decides: compaction triggers exactly when
-  /// a delivery lifts an incomplete node to count >= compact_floor_, counts
-  /// move by single deliveries only, and possession never shrinks — so
-  /// "count in [floor, k)" and "compact_slot_ is valid" are the same
-  /// predicate, without touching the slot array on the hot path. With
-  /// compaction off, compact_floor_ == k_ makes the band empty.
-  bool node_is_compact(std::uint32_t count) const {
-    return count >= compact_floor_ && count < k_;
-  }
-
-  /// The sorted ascending missing-block list of a compact node (exactly
-  /// k - count entries). Only valid while node_is_compact(count_[v]).
-  const std::uint32_t* compact_list(NodeId v) const {
-    return compact_pool_[recv_shard_of(v)].data() +
-           static_cast<std::size_t>(compact_slot_[v]) * compact_missing_;
-  }
-
   /// O(summary words): true iff some chunk where u holds blocks is still
   /// incomplete at v — the necessary condition for a useful probe.
   bool summary_overlap(NodeId u, NodeId v) const;
 
   /// Fills `scan` with the nonzero words of su \ sv (ascending word index)
   /// via the configured kernel; returns scan.total != 0. `su` is u's
-  /// resolved sender row (see resolve_sender_row — the arena row, the
-  /// shared full row, or a materialized compact row). A compact RECEIVER
-  /// takes the missing-list path: per missing word w the diff is
-  /// su[w] & missing-mask(w), which equals the dense su[w] & ~sv[w] exactly
-  /// and visits words in the same ascending order — so every kernel setting
-  /// and both representations record identical entries. `guided` allows the
-  /// summary-driven sparse walk for dense receivers (the caller has already
-  /// paid for the summary rows); false goes straight to the linear vector
+  /// sender row (see generate_node — the arena row or the shared full
+  /// row). `guided` allows the summary-driven sparse walk (the caller has
+  /// already paid for the summary rows); false goes straight to the linear
   /// sweep. Every path records identical entries; the choice is perf-only.
   bool scan_pair(NodeId u, const std::uint64_t* su, NodeId v, DiffScan& scan,
                  bool guided) const;
@@ -519,14 +468,6 @@ class Engine {
                     NodeId v, std::uint32_t ver_v, DiffScan& scan,
                     ProbeCache& cache);
 
-  /// Resolves the row pointer scans read u's possession through: the arena
-  /// row for dense nodes, the shared all-ones full_row_ for complete nodes
-  /// (their arena rows may be retired — and one hot shared line beats a
-  /// million identical ones), or `dst` with the compact missing-list
-  /// materialized into it. Word-for-word equal to the historical dense row
-  /// in every case, so scan recordings cannot differ.
-  const std::uint64_t* resolve_sender_row(NodeId u, std::uint32_t ver_u,
-                                          std::uint64_t* dst) const;
 
   /// Sequential-demand viability (opt_.stream_window != 0): true iff the
   /// lowest block of the recorded diff lies inside v's sliding playback
@@ -542,7 +483,7 @@ class Engine {
   /// Deterministic sweep of u's whole neighborhood: true iff no neighbor is
   /// currently a viable probe target (so u cannot emit an intent this tick
   /// or any later tick until u's possession version changes — see the
-  /// argument in the header comment). `su` is u's resolved sender row.
+  /// argument in the header comment). `su` is u's sender row.
   /// Populates the probe cache as it goes.
   bool neighborhood_exhausted(NodeId u, const std::uint64_t* su, DiffScan& scan,
                               ProbeCache& cache);
@@ -552,31 +493,11 @@ class Engine {
   /// the caller's count_ increment — count doubles as the version.)
   void note_delivery(NodeId to, BlockId block, std::uint64_t word);
 
-  /// Commits one delivery to `to`'s possession — dense bit-set or compact
-  /// list-removal — including summaries, the count/version bump, the
-  /// compaction trigger when the count crosses compact_floor_, and slab
-  /// slot release on completion. Returns true iff the node just completed.
+  /// Commits one delivery to `to`'s possession row, including summaries
+  /// and the count/version bump. Returns true iff the node just completed.
   /// Called only from the receiver's owning context (serial commit or its
-  /// receiver shard), so the slab and slot arrays need no synchronization.
+  /// receiver shard), so it needs no synchronization.
   bool deliver_block(NodeId to, BlockId block);
-
-  /// Rewrites `v`'s dense row (which just reached compact_floor_) as a
-  /// sorted missing-list in its receiver shard's slab and queues the arena
-  /// row for retirement (folded serially by fold_retired).
-  void compact_node(NodeId v);
-  /// Removes `block` from compact `v`'s missing-list and maintains both
-  /// summaries (the has bit; the missing bit when the word's last missing
-  /// entry goes). The caller bumps count_.
-  void compact_remove(NodeId v, BlockId block);
-  /// Serial epilogue of every commit: decrements the 2 MiB-chunk live-row
-  /// counts for rows retired this tick and releases chunks that emptied
-  /// back to the OS. Release timing is invisible to results — retired rows
-  /// are never read again — so running it once per commit is purely a
-  /// batching choice.
-  void fold_retired();
-  /// Builds `dst` (stride_ words) as the dense row equivalent of compact
-  /// `u`: full masks minus the missing-list bits.
-  void materialize_row(NodeId u, std::uint64_t* dst) const;
 
   /// Emits node u's intents. `rng` is u's per-(tick, node) stream with the
   /// first below(degree) draw already consumed — `first_probe` is that
@@ -628,30 +549,9 @@ class Engine {
 
   // One shared all-ones possession row (tail-masked): every complete
   // sender's scans read through this single hot line instead of n identical
-  // arena rows — and it is what makes retiring complete nodes' rows legal.
+  // arena rows scattered across the arena.
   std::vector<std::uint64_t> full_row_;
 
-  // --- Endgame compaction state (all empty when compact_missing_ == 0) --
-  //
-  // A compact node's missing blocks live in a slab slot of exactly
-  // compact_missing_ uint32 entries, sorted ascending, owned by the node's
-  // RECEIVER shard — the only context that mutates possession — so the
-  // sharded apply needs no locks. Slots are free-listed per shard; the
-  // assignment order is a pure function of the canonical stream, hence
-  // identical at any job count (not that slot indices are observable).
-  std::uint32_t compact_missing_ = 0;  // resolved threshold; 0 = off
-  std::uint32_t compact_floor_ = 0;    // k_ - compact_missing_, or k_ if off
-  HugeBuffer<std::uint32_t> compact_slot_;          // slab slot per node, ~0 = none
-  std::vector<std::vector<std::uint32_t>> compact_pool_;  // per recv shard slabs
-  std::vector<std::vector<std::uint32_t>> compact_free_;  // per shard free slots
-  std::vector<std::vector<NodeId>> retired_shards_;  // rows retired, per shard
-  // Arena release bookkeeping: live (unretired) row count per 2 MiB chunk
-  // of the possession arena; a chunk whose count hits zero goes back to the
-  // OS via huge_release. chunk_base_ is the first 2 MiB-aligned address
-  // inside the arena; partial chunks at either end are never released.
-  std::uintptr_t chunk_base_ = 0;
-  std::vector<std::uint32_t> chunk_live_;
-  std::uint64_t arena_released_bytes_ = 0;
   HugeBuffer<std::uint32_t> count_;       // blocks held per node
   std::vector<Tick> completion_;          // completion tick per node (0 = not)
   HugeBuffer<std::uint8_t> active_;       // 0 once departed

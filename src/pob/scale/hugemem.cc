@@ -81,25 +81,6 @@ void* huge_alloc(std::size_t bytes) {
 #endif
 }
 
-std::size_t huge_release(void* data, std::size_t bytes) noexcept {
-#if defined(__linux__)
-  // Round inward to the hugetlb unit: a DONTNEED at sub-hugepage granularity
-  // inside a MAP_HUGETLB mapping fails, and the engine's arena may sit on
-  // either mapping kind. Ordinary 4 KiB mappings accept 2 MiB-aligned ranges
-  // just as happily, so one granularity serves both.
-  const auto addr = reinterpret_cast<std::uintptr_t>(data);
-  const std::uintptr_t lo = (addr + kHugePage - 1) & ~(kHugePage - 1);
-  const std::uintptr_t hi = (addr + bytes) & ~(kHugePage - 1);
-  if (hi <= lo) return 0;
-  if (madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED) != 0) return 0;
-  return hi - lo;
-#else
-  (void)data;
-  (void)bytes;
-  return 0;
-#endif
-}
-
 void huge_free(void* ptr, std::size_t bytes) noexcept {
   if (ptr == nullptr) return;
 #if defined(__linux__)

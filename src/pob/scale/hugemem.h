@@ -5,18 +5,21 @@
 // With 4 KiB pages every such read risks a TLB miss, and — worse — software
 // prefetches that miss the TLB are dropped on common x86 cores, so the
 // generate walk's windowed prefetch (each window's lead pass warms its
-// first probe targets) only pays off when the arena sits on big pages. Two mechanisms, tried in order:
+// first probe targets) only pays off when the arena sits on big pages. Two
+// mechanisms, tried in order:
 //
 //   1. Explicit hugetlb pages (mmap MAP_HUGETLB): guaranteed 2 MiB mappings
 //      drawn from the kernel's reserved pool (/proc/sys/vm/nr_hugepages).
 //      Fails cleanly when the pool is empty or absent.
 //   2. Transparent hugepages (madvise MADV_HUGEPAGE): a hint the kernel may
-//      honor lazily, or never (THP in "madvise" mode with no compaction —
-//      some virtualized kernels simply don't supply them).
+//      honor lazily, or never (THP in "madvise" mode without kernel memory
+//      compaction — some virtualized kernels simply don't supply them).
 //
 // Everything here is a perf shade only: allocation always succeeds (the
 // final fallback is ordinary anonymous memory), contents start zeroed on
 // every path, and no observable engine behavior depends on which path won.
+// An allocation is held whole until huge_free: the engine sizes its arenas
+// once and returns nothing to the OS mid-run.
 
 #pragma once
 
@@ -44,17 +47,6 @@ void* huge_alloc(std::size_t bytes);
 /// Releases memory obtained from huge_alloc. `bytes` must match the
 /// original request (the mapping length is derived from it).
 void huge_free(void* ptr, std::size_t bytes) noexcept;
-
-/// Best-effort return of the pages fully inside [data, data + bytes) to the
-/// OS (madvise MADV_DONTNEED), rounding inward to 2 MiB boundaries so the
-/// call stays valid for hugetlb-backed mappings — which reject smaller
-/// granularity — and ordinary ones alike. The caller promises the range is
-/// dead: anonymous private memory reads back as zeros after release, not as
-/// its old contents. Returns the bytes actually released: 0 when the range
-/// holds no aligned 2 MiB block, off Linux, or when the kernel refuses
-/// (e.g. hugetlb DONTNEED support predates some enterprise kernels) —
-/// always safe to ignore, the memory just stays resident.
-std::size_t huge_release(void* data, std::size_t bytes) noexcept;
 
 /// A fixed-size, zero-initialized, move-only array on huge_alloc memory.
 /// Deliberately minimal: the engine sizes these once per construction and

@@ -165,19 +165,16 @@ TEST(ScaleEngine, SummaryBitmapsTailMaskedAtWordBoundaries) {
   }
 }
 
-TEST(ScaleEngine, CompactionThresholdCrossingKeepsQueriesExact) {
-  // Hand-deliver a node across the compact boundary and interrogate every
-  // query the compact representation re-implements: has(), first_missing(),
-  // top_block(), the summaries, and the crossing itself. The withheld set
-  // straddles the word boundary and the tail (k = 65) on purpose.
+TEST(ScaleEngine, DenseRowQueriesStayExactNearCompletion) {
+  // Hand-deliver a node to within four blocks of the file and interrogate
+  // every possession query the schedulers and the stream layer read:
+  // has(), first_missing(), top_block() and the summaries, down to
+  // completion. The withheld set straddles the word boundary and the tail
+  // (k = 65) on purpose.
   EngineConfig cfg;
   cfg.num_nodes = 4;
   cfg.num_blocks = 65;
-  ScaleOptions opt;
-  opt.compact_missing = 4;
-  Engine engine(cfg, complete_topo(4), opt, 1);
-  ASSERT_EQ(engine.compact_threshold(), 4u);
-  EXPECT_FALSE(engine.is_compact(kServer));  // complete is beyond the band
+  Engine engine(cfg, complete_topo(4), {}, 1);
 
   const std::vector<BlockId> withheld = {0, 37, 63, 64};
   Tick t = 1;
@@ -187,11 +184,9 @@ TEST(ScaleEngine, CompactionThresholdCrossingKeepsQueriesExact) {
   };
   for (BlockId b = 0; b < 65; ++b) {
     if (std::find(withheld.begin(), withheld.end(), b) != withheld.end()) continue;
-    EXPECT_FALSE(engine.is_compact(1));  // 61 deliveries: the last one lands
-    deliver(b);                          // exactly on the floor k - 4 = 61
+    deliver(b);
   }
   ASSERT_EQ(engine.blocks_held(1), 61u);
-  ASSERT_TRUE(engine.is_compact(1));
   for (BlockId b = 0; b < 65; ++b) {
     EXPECT_EQ(engine.has(1, b),
               std::find(withheld.begin(), withheld.end(), b) == withheld.end());
@@ -211,150 +206,150 @@ TEST(ScaleEngine, CompactionThresholdCrossingKeepsQueriesExact) {
   EXPECT_EQ(engine.summary_missing_word(1, 0), 0b01u);
   EXPECT_EQ(engine.summary_has_word(1, 0), 0b11u);
   deliver(37);  // missing {63}
-  EXPECT_TRUE(engine.is_compact(1));
   EXPECT_EQ(engine.first_missing(1), 63u);
-  deliver(63);  // complete: the compact slot retires with the node
-  EXPECT_FALSE(engine.is_compact(1));
+  deliver(63);  // complete
   EXPECT_TRUE(engine.is_complete(1));
   EXPECT_EQ(engine.first_missing(1), 65u);
   EXPECT_EQ(engine.top_block(1), 64u);
   EXPECT_EQ(engine.summary_missing_word(1, 0), 0u);
   for (BlockId b = 0; b < 65; ++b) EXPECT_TRUE(engine.has(1, b));
   EXPECT_EQ(engine.node_completion(1), t - 1);
+  // The server's row is seeded complete and is read like any other.
+  EXPECT_EQ(engine.first_missing(kServer), 65u);
+  EXPECT_EQ(engine.top_block(kServer), 64u);
 }
 
-TEST(ScaleEngine, CompactionChurnOnCompactAndCompleteNodesMatchesDense) {
-  // Two lockstep engines over the same swarm — endgame compaction on vs
-  // off — must plan the identical stream every tick while nodes are
-  // deactivated and re-admitted exactly when they are compact or complete.
-  // Rarest-first makes the parity sharp: deactivate/activate adjust the
-  // global block frequencies through the compact list (or, for a complete
-  // node, no row at all — it may be retired), and any miscount diverges the
-  // picks for the rest of the run.
+TEST(ScaleEngine, ReadmittedNearCompleteAndCompleteNodesKeepRarestFirstExact) {
+  // A lockstep swarm under rarest-first in which one node within eight
+  // blocks of the file and one complete node each sit out three ticks and
+  // are then re-admitted. deactivate/activate adjust the global replica
+  // counts from the node's row; any miscount moves a rarest-first pick.
+  // core::Engine has no re-admission, so no mirror can replay this
+  // schedule. Instead every planned transfer is checked against replica
+  // counts recomputed here from has() over the active nodes, and the
+  // whole stream is pinned (captured from the engine that still had the
+  // endgame missing-list form, where it equalled the dense-row stream).
+  constexpr std::uint32_t kNodes = 600;
+  constexpr std::uint32_t kBlocks = 64;
+  constexpr std::uint64_t kChurnStreamHash = 0x9db139c46ddb4ecaULL;
   EngineConfig cfg;
-  cfg.num_nodes = 600;
-  cfg.num_blocks = 64;
+  cfg.num_nodes = kNodes;
+  cfg.num_blocks = kBlocks;
+  ScaleOptions opt;
+  opt.policy = BlockPolicy::kRarestFirst;
+  Engine a(cfg, regular_topo(kNodes, 8, 9), opt, 9);
 
-  ScaleOptions compacting;
-  compacting.policy = BlockPolicy::kRarestFirst;
-  compacting.compact_missing = 8;
-  ScaleOptions dense = compacting;
-  dense.compact_missing = 0;
-
-  Engine a(cfg, regular_topo(600, 8, 9), compacting, 9);
-  Engine b(cfg, regular_topo(600, 8, 9), dense, 9);
-  ASSERT_EQ(a.compact_threshold(), 8u);
-  ASSERT_EQ(b.compact_threshold(), 0u);
-
-  std::vector<Transfer> sa, sb;
-  NodeId churned_compact = 0, churned_complete = 0;  // 0 = not yet
-  Tick back_compact = 0, back_complete = 0;
-  bool saw_compact_while_inactive = false;
-  for (Tick t = 1; t <= 400 && !a.all_complete(); ++t) {
+  const auto fnv = [](std::uint64_t h, std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+    return h;
+  };
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  std::vector<Transfer> sa;
+  std::vector<std::uint32_t> freq(kBlocks);
+  NodeId churned_near = 0, churned_complete = 0;  // 0 = not yet
+  Tick back_near = 0, back_complete = 0;
+  bool near_still_incomplete = false;
+  Tick t = 1;
+  for (; t <= 400 && !a.all_complete(); ++t) {
+    std::fill(freq.begin(), freq.end(), 0u);
+    for (NodeId v = 0; v < kNodes; ++v) {
+      if (!a.is_active(v)) continue;
+      for (BlockId b = 0; b < kBlocks; ++b) {
+        if (a.has(v, b)) ++freq[b];
+      }
+    }
     sa.clear();
-    sb.clear();
     a.plan(t, sa);
-    b.plan(t, sb);
-    ASSERT_EQ(sa.size(), sb.size()) << "tick " << t;
-    for (std::size_t i = 0; i < sa.size(); ++i) {
-      ASSERT_TRUE(sa[i].from == sb[i].from && sa[i].to == sb[i].to &&
-                  sa[i].block == sb[i].block)
-          << "tick " << t << " intent " << i;
+    for (const Transfer& tr : sa) {
+      ASSERT_TRUE(a.is_active(tr.from) && a.is_active(tr.to)) << "tick " << t;
+      ASSERT_TRUE(a.has(tr.from, tr.block) && !a.has(tr.to, tr.block)) << "tick " << t;
+      std::uint32_t rarest = ~0u;
+      for (BlockId b = 0; b < kBlocks; ++b) {
+        if (a.has(tr.from, b) && !a.has(tr.to, b)) rarest = std::min(rarest, freq[b]);
+      }
+      ASSERT_EQ(freq[tr.block], rarest) << "tick " << t << " " << tr.from << "->" << tr.to;
+      hash = fnv(fnv(fnv(fnv(hash, t), tr.from), tr.to), tr.block);
     }
     a.apply(t, sa);
-    b.apply(t, sb);
 
-    if (churned_compact == 0) {
-      for (NodeId v = 1; v < 600; ++v) {
-        if (a.is_compact(v)) {
-          churned_compact = v;
+    if (churned_near == 0) {
+      for (NodeId v = 1; v < kNodes; ++v) {
+        if (a.blocks_held(v) >= kBlocks - 8 && !a.is_complete(v)) {
+          churned_near = v;
           a.deactivate(v);
-          b.deactivate(v);
-          back_compact = t + 3;
+          back_near = t + 3;
           break;
         }
       }
-    } else if (t == back_compact) {
-      // The node sat out three ticks mid-band; it must still read as
-      // compact, and re-admission must restore its replica counts from the
-      // missing-list, not the retired row.
-      saw_compact_while_inactive = a.is_compact(churned_compact);
-      a.activate(churned_compact);
-      b.activate(churned_compact);
+    } else if (t == back_near) {
+      near_still_incomplete = !a.is_complete(churned_near);
+      a.activate(churned_near);
     }
     if (churned_complete == 0) {
-      for (NodeId v = 1; v < 600; ++v) {
+      for (NodeId v = 1; v < kNodes; ++v) {
         if (a.is_complete(v)) {
           churned_complete = v;
           a.deactivate(v);
-          b.deactivate(v);
           back_complete = t + 3;
           break;
         }
       }
     } else if (t == back_complete) {
       a.activate(churned_complete);
-      b.activate(churned_complete);
     }
   }
   EXPECT_TRUE(a.all_complete());
-  EXPECT_TRUE(b.all_complete());
-  EXPECT_NE(churned_compact, 0u);
+  EXPECT_NE(churned_near, 0u);
   EXPECT_NE(churned_complete, 0u);
-  EXPECT_TRUE(saw_compact_while_inactive);
+  EXPECT_TRUE(near_still_incomplete);
+  EXPECT_EQ(t - 1, 88u);
+  EXPECT_EQ(hash, kChurnStreamHash);
 }
 
-TEST(ScaleEngine, CompactionAtBlockCountEdges) {
-  // k = 1 cannot compact (the band would be the whole file); 63/64/65 put
-  // the compact list's word grouping against the tail mask and the word
-  // boundary. Oversized explicit thresholds clamp to k - 1. record_trace
-  // makes the digest cover every transfer of every tick.
-  for (const std::uint32_t k : {1u, 63u, 64u, 65u}) {
-    SCOPED_TRACE(k);
+TEST(ScaleEngine, BlockCountEdgesPinned) {
+  // k = 1 is a single-block file; 63/64/65 put the possession rows' tail
+  // mask and the word boundary in play. record_trace makes the digest
+  // cover every transfer of every tick. The pins were captured from the
+  // engine that still had the endgame missing-list form, where every
+  // threshold produced these same streams.
+  struct Pin {
+    std::uint32_t k;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {1, 0x23ed94523f242fc0ULL},
+      {63, 0x625860b0a5987703ULL},
+      {64, 0xe0f9ac3674faaa62ULL},
+      {65, 0xcbb20cc617fc3ab1ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.k);
     EngineConfig cfg;
     cfg.num_nodes = 40;
-    cfg.num_blocks = k;
+    cfg.num_blocks = pin.k;
     cfg.record_trace = true;
-    std::uint32_t resolved = 0;
-    const auto digest_with = [&](std::uint32_t compact) {
-      ScaleOptions opt;
-      opt.compact_missing = compact;
-      Engine engine(cfg, complete_topo(40), opt, 300 + k);
-      const std::uint64_t d = run_result_digest(engine.run(1));
-      resolved = engine.compact_threshold();
-      return d;
-    };
-    const std::uint64_t base = digest_with(0);
-    EXPECT_EQ(resolved, 0u);
-    EXPECT_EQ(digest_with(kCompactAuto), base);
-    EXPECT_EQ(resolved, k >= 2 ? std::clamp(k / 32u, 2u, 16u) : 0u);
-    EXPECT_EQ(digest_with(1000), base);
-    EXPECT_EQ(resolved, k >= 2 ? k - 1 : 0u);
+    Engine engine(cfg, complete_topo(40), {}, 300 + pin.k);
+    EXPECT_EQ(run_result_digest(engine.run(1)), pin.digest);
   }
 }
 
-TEST(ScaleEngine, StateBytesCoversCompactionStateAndReleaseIsChunkAligned) {
-  // The compaction structures (per-node slot index, slabs, retire queues)
-  // must be inside the reported figure from construction on, the figure
-  // must not shrink over a run (released arena chunks are reported
-  // separately, not subtracted), and the released count can only ever be
-  // whole 2 MiB chunks of the arena.
+TEST(ScaleEngine, StateBytesNeverShrinksOverARun) {
+  // Nothing the engine allocates is freed mid-run, so the reported figure
+  // after a full run is at least the fresh one, which already covers the
+  // possession arena (stride 1) and both summaries (sum_stride 1).
   EngineConfig cfg;
   cfg.num_nodes = 3000;
   cfg.num_blocks = 64;
-  ScaleOptions opt;
-  opt.compact_missing = 8;
-  Engine engine(cfg, complete_topo(3000), opt, 21);
+  Engine engine(cfg, complete_topo(3000), {}, 21);
   const std::uint64_t fresh = engine.state_bytes();
-  // Floor: the arena (stride 1), both summaries (sum_stride 1), and the
-  // compaction slot array (one uint32 per node).
-  EXPECT_GE(fresh, 3000u * 8 + 2u * 3000 * 8 + 3000u * 4);
+  EXPECT_GE(fresh, 3000u * 8 + 2u * 3000 * 8);
 
   const RunResult r = engine.run(1);
   ASSERT_TRUE(r.completed);
   EXPECT_GE(engine.state_bytes(), fresh);
-  EXPECT_LE(engine.arena_released_bytes(), 3000u * 8);
-  EXPECT_EQ(engine.arena_released_bytes() % (std::size_t{2} << 20), 0u);
 }
 
 TEST(ScaleEngine, ProbeCacheSurvivesChurnAndPossessionChanges) {

@@ -103,7 +103,7 @@ std::shared_ptr<const Overlay> make_overlay(const Args& args, std::uint32_t n,
 
 std::unique_ptr<Mechanism> make_mechanism(const Args& args) {
   const std::string kind = args.get_string("mechanism", "none");
-  const auto credit = static_cast<std::uint32_t>(args.get_int("credit", 1));
+  const auto credit = args.get_uint("credit", 1);
   if (kind == "none") return nullptr;
   if (kind == "strict") return std::make_unique<StrictBarter>();
   if (kind == "credit") return std::make_unique<CreditLimited>(credit);
@@ -180,7 +180,7 @@ int run_scale(const Args& args, const EngineConfig& cfg, std::uint32_t n,
               std::uint32_t k, std::uint32_t runs, std::uint64_t seed, unsigned jobs) {
   scale::ScaleOptions opt;
   opt.policy = parse_policy(args);
-  opt.max_probes = static_cast<std::uint32_t>(args.get_int("probes", 16));
+  opt.max_probes = args.get_uint("probes", 16);
   // --simd=off forces the scalar reference scan kernel (results identical,
   // only seconds differ) — the same flag scale_throughput takes.
   opt.scan_kernel = args.get_string("simd", "auto") == "off"
@@ -193,7 +193,7 @@ int run_scale(const Args& args, const EngineConfig& cfg, std::uint32_t n,
     opt.scheduler = scale::SchedKind::kRifflePipeline;
   } else if (algo == "triangular" || algo == "triangular-barter") {
     opt.scheduler = scale::SchedKind::kTriangularBarter;
-    opt.credit_limit = static_cast<std::uint32_t>(args.get_int("credit", 1));
+    opt.credit_limit = args.get_uint("credit", 1);
   } else if (algo != "randomized" && algo != "credit-randomized") {
     throw std::invalid_argument(
         "scale engine supports --algo=randomized|credit-randomized|"
@@ -207,7 +207,7 @@ int run_scale(const Args& args, const EngineConfig& cfg, std::uint32_t n,
           "drop --mechanism");
     }
   } else if (mech == "credit" || algo == "credit-randomized") {
-    opt.credit_limit = static_cast<std::uint32_t>(args.get_int("credit", 1));
+    opt.credit_limit = args.get_uint("credit", 1);
   } else if (mech != "none") {
     throw std::invalid_argument("scale engine supports --mechanism=none|credit, not " +
                                 mech);
@@ -294,7 +294,7 @@ int run_stream(const Args& args, const EngineConfig& cfg, std::uint32_t n,
   Rng topo_rng = Rng(seed).split(0);
   spec.topology = make_scale_topology(args, n, topo_rng);
   spec.options.policy = parse_policy(args);
-  spec.options.max_probes = static_cast<std::uint32_t>(args.get_int("probes", 16));
+  spec.options.max_probes = args.get_uint("probes", 16);
   spec.options.scan_kernel = args.get_string("simd", "auto") == "off"
                                  ? scale::ScanKernel::kScalar
                                  : scale::ScanKernel::kAuto;
@@ -302,39 +302,32 @@ int run_stream(const Args& args, const EngineConfig& cfg, std::uint32_t n,
   const std::string arrivals = args.get_string("arrivals", "batch");
   if (arrivals == "poisson") {
     spec.workload.arrivals = scale::stream::ArrivalPattern::kPoisson;
-    spec.workload.mean_gap16 = static_cast<std::uint32_t>(args.get_int("gap16", 16));
+    spec.workload.mean_gap16 = args.get_uint("gap16", 16);
   } else if (arrivals == "flash" || arrivals == "flash-crowd") {
     spec.workload.arrivals = scale::stream::ArrivalPattern::kFlashCrowd;
-    spec.workload.flash_start = static_cast<Tick>(args.get_int("flash-start", 8));
-    spec.workload.flash_width =
-        static_cast<std::uint32_t>(args.get_int("flash-width", 4));
-    spec.workload.flash_pct =
-        static_cast<std::uint32_t>(args.get_int("flash-pct", 90));
+    spec.workload.flash_start = args.get_uint("flash-start", 8);
+    spec.workload.flash_width = args.get_uint("flash-width", 4);
+    spec.workload.flash_pct = args.get_uint("flash-pct", 90);
   } else if (arrivals == "burst") {
     spec.workload.arrivals = scale::stream::ArrivalPattern::kBurst;
-    spec.workload.burst_size =
-        static_cast<std::uint32_t>(args.get_int("burst-size", 64));
-    spec.workload.burst_period =
-        static_cast<std::uint32_t>(args.get_int("burst-period", 4));
+    spec.workload.burst_size = args.get_uint("burst-size", 64);
+    spec.workload.burst_period = args.get_uint("burst-period", 4);
   } else if (arrivals != "batch") {
     throw std::invalid_argument("unknown --arrivals=" + arrivals +
                                 " (batch | poisson | flash | burst)");
   }
-  const auto classes = static_cast<std::uint32_t>(args.get_int("classes", 0));
+  const auto classes = args.get_uint("classes", 0);
   for (std::uint32_t i = 0; i < classes; ++i) {
     spec.workload.rate_classes.push_back(
         {classes - i, 1 + i, i == 0 ? kUnlimited : 2 * (1 + i)});
   }
-  spec.workload.rate_changes =
-      static_cast<std::uint32_t>(args.get_int("churn", 0));
-  spec.workload.rate_change_horizon =
-      static_cast<Tick>(args.get_int("horizon", 64));
-  spec.demand.window = static_cast<std::uint32_t>(args.get_int("window", 0));
-  spec.demand.startup_blocks =
-      static_cast<std::uint32_t>(args.get_int("startup", 4));
-  spec.demand.interval = static_cast<Tick>(args.get_int("interval", 1));
+  spec.workload.rate_changes = args.get_uint("churn", 0);
+  spec.workload.rate_change_horizon = args.get_uint("horizon", 64);
+  spec.demand.window = args.get_uint("window", 0);
+  spec.demand.startup_blocks = args.get_uint("startup", 4);
+  spec.demand.interval = args.get_uint("interval", 1);
   spec.demand.deadlines = args.has("deadlines");
-  spec.demand.deadline_slack = static_cast<Tick>(args.get_int("slack", 2));
+  spec.demand.deadline_slack = args.get_uint("slack", 2);
   spec.config.record_trace = args.has("trace") || args.has("save-trace");
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -425,17 +418,16 @@ int main_impl(int argc, char** argv) {
   const std::string algo = args.get_string("algo", "binomial-pipeline");
   const auto n = args.get_uint("n", 64);
   const auto k = args.get_uint("k", 32);
-  const auto runs = static_cast<std::uint32_t>(args.get_int("runs", 1));
+  const auto runs = args.get_uint("runs", 1);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const unsigned jobs = jobs_from_flag(args.get_int("jobs", 0));
 
   EngineConfig cfg;
   cfg.num_nodes = n;
   cfg.num_blocks = k;
-  cfg.upload_capacity = static_cast<std::uint32_t>(args.get_int("upload", 1));
-  cfg.download_capacity = args.has("download")
-                              ? static_cast<std::uint32_t>(args.get_int("download", 1))
-                              : kUnlimited;
+  cfg.upload_capacity = args.get_uint("upload", 1);
+  cfg.download_capacity =
+      args.has("download") ? args.get_uint("download", 1) : kUnlimited;
   cfg.max_ticks = args.get_uint("cap", 0);
   cfg.record_trace = args.has("trace") || args.has("save-trace");
   if (args.has("stall-window")) {
@@ -498,8 +490,7 @@ int main_impl(int argc, char** argv) {
       sched = std::make_unique<RandomizedScheduler>(make_overlay(args, n, run_rng),
                                                     opt, run_rng.split(1));
     } else if (algo == "credit-randomized") {
-      auto credit = std::make_unique<CreditLimited>(
-          static_cast<std::uint32_t>(args.get_int("credit", 1)));
+      auto credit = std::make_unique<CreditLimited>(args.get_uint("credit", 1));
       sched = std::make_unique<RandomizedScheduler>(make_overlay(args, n, run_rng),
                                                     opt, run_rng.split(1),
                                                     credit.get());
@@ -515,8 +506,7 @@ int main_impl(int argc, char** argv) {
       sched = std::make_unique<StripedTreesScheduler>(
           n, k, static_cast<std::uint32_t>(args.get_int("stripes", 4)));
     } else if (algo == "rotating") {
-      auto credit = std::make_unique<CreditLimited>(
-          static_cast<std::uint32_t>(args.get_int("credit", 1)));
+      auto credit = std::make_unique<CreditLimited>(args.get_uint("credit", 1));
       sched = std::make_unique<RotatingRandomizedScheduler>(
           n, args.get_uint("degree", 8),
           static_cast<Tick>(args.get_int("period", 16)), opt, run_rng.split(1),
