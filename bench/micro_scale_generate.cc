@@ -41,16 +41,16 @@ struct ConfigPoint {
 
 int main_impl(int argc, char** argv) {
   const Args args(argc, argv);
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 200000));
-  const auto k = static_cast<std::uint32_t>(args.get_int("k", 128));
-  const auto degree = static_cast<std::uint32_t>(args.get_int("degree", 16));
+  const std::uint32_t n = args.get_uint("n", 200000);
+  const std::uint32_t k = args.get_uint("k", 128);
+  const std::uint32_t degree = args.get_uint("degree", 16);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   // The frozen tick: deep enough that rows are part-full and probing does
   // real differencing work, short of the endgame where sated stamps blank
   // most of the swarm. (200k x 128 completes near tick 200.)
-  const auto warm = static_cast<Tick>(args.get_int("warm", 120));
-  const auto iters =
-      static_cast<std::uint32_t>(std::max<std::int64_t>(1, args.get_int("iters", 5)));
+  const Tick warm = args.get_uint("warm", 120);
+  const std::uint32_t iters = args.get_uint("iters", 5);
+  if (iters == 0) throw std::invalid_argument("--iters: expected at least 1, got 0");
 
   EngineConfig cfg;
   cfg.num_nodes = n;

@@ -13,10 +13,13 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <mutex>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -106,14 +109,65 @@ class ThreadPool {
   std::exception_ptr error_;  // guarded by mu_
 };
 
+/// The cache-line size per-shard state is laid out on. A named constant, not
+/// std::hardware_destructive_interference_size: GCC warns
+/// (-Winterference-size) that the latter may change between compiler
+/// versions, and warnings are errors under POB_WERROR.
+inline constexpr std::size_t kCacheLine = 64;
+
+/// `count` elements of T, rounded up to whole cache lines.
+template <typename T>
+constexpr std::size_t pad_to_cache_lines(std::size_t count) {
+  static_assert(kCacheLine % sizeof(T) == 0, "T must tile a cache line");
+  constexpr std::size_t per_line = kCacheLine / sizeof(T);
+  return (count + per_line - 1) / per_line * per_line;
+}
+
+/// One shard's privately written state, alone on its cache lines. Workers
+/// running neighbouring shards otherwise write the same line — a vector
+/// header's size on every push_back, a scan's running total on every probe
+/// — and every such write invalidates the line in the other core's cache.
+/// Aligning each slot to a line pads its size to whole lines too, so
+/// consecutive slots of a std::vector never share one.
+template <typename T>
+struct alignas(kCacheLine) ShardSlot {
+  T value;
+};
+
+/// An allocator for buffers that one shard writes: every allocation starts
+/// on a cache line and is padded to whole lines, so no other heap block's
+/// data shares a line with it.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t count) {
+    if (count > (std::numeric_limits<std::size_t>::max() - kCacheLine) / sizeof(T)) {
+      throw std::bad_array_new_length();
+    }
+    const std::size_t bytes = pad_to_cache_lines<std::byte>(count * sizeof(T));
+    return static_cast<T*>(::operator new(bytes, std::align_val_t{kCacheLine}));
+  }
+  void deallocate(T* p, std::size_t) noexcept {
+    ::operator delete(p, std::align_val_t{kCacheLine});
+  }
+
+  friend bool operator==(const CacheLineAllocator&, const CacheLineAllocator&) {
+    return true;
+  }
+};
+
 /// Per-shard accumulation scratch for parallel reductions: `shards` rows of
 /// `width` zero-initialized counters. Writers own one row each (disjoint, so
 /// no synchronization), and reduce_into() folds the rows into a target array
 /// in ascending shard order — a fixed order, so the reduction is bit-exact
 /// for any element type, including floating point — then re-zeroes the rows
-/// so the scratch is ready for the next round. The row-major layout keeps
-/// each writer's row contiguous (no false sharing between shards beyond one
-/// cache line at row boundaries).
+/// so the scratch is ready for the next round. Each row starts on a cache
+/// line and is padded to whole lines, so no two writers ever share a line.
 template <typename T>
 class ShardScratch {
  public:
@@ -121,14 +175,15 @@ class ShardScratch {
   void configure(std::uint32_t shards, std::size_t width) {
     shards_ = shards;
     width_ = width;
-    data_.assign(static_cast<std::size_t>(shards) * width, T{});
+    stride_ = pad_to_cache_lines<T>(width);
+    data_.assign(static_cast<std::size_t>(shards) * stride_, T{});
   }
 
   std::uint32_t shards() const { return shards_; }
   std::size_t width() const { return width_; }
 
   /// Row `s`, for exclusive use by whichever worker runs shard `s`.
-  T* shard(std::uint32_t s) { return data_.data() + static_cast<std::size_t>(s) * width_; }
+  T* shard(std::uint32_t s) { return data_.data() + static_cast<std::size_t>(s) * stride_; }
 
   /// out[i] += sum over rows of row[s][i] (ascending s), then zeroes the
   /// rows. `out` must have at least width() elements. When a pool with more
@@ -163,7 +218,8 @@ class ShardScratch {
  private:
   std::uint32_t shards_ = 0;
   std::size_t width_ = 0;
-  std::vector<T> data_;
+  std::size_t stride_ = 0;  // row pitch: width_ padded to whole cache lines
+  std::vector<T, CacheLineAllocator<T>> data_;
 };
 
 /// As repeat_trials, but runs trials on `jobs` threads (0 = default_jobs(),

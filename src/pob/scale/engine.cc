@@ -91,6 +91,20 @@ bool Engine::PairTable::insert(std::uint64_t key) {
   return true;
 }
 
+// --- DiffScan ------------------------------------------------------------
+
+void Engine::DiffScan::configure(std::uint32_t stride) {
+  // words first, so every array starts on its own element alignment.
+  const std::size_t words_bytes = std::size_t{stride} * sizeof(std::uint64_t);
+  const std::size_t index_bytes = std::size_t{stride} * sizeof(std::uint32_t);
+  bytes_ = pad_to_cache_lines<std::byte>(words_bytes + 2 * index_bytes);
+  storage_.reset(CacheLineAllocator<std::byte>().allocate(bytes_));
+  std::byte* base = storage_.get();
+  words = reinterpret_cast<std::uint64_t*>(base);
+  widx = reinterpret_cast<std::uint32_t*>(base + words_bytes);
+  pc = reinterpret_cast<std::uint32_t*>(base + words_bytes + index_bytes);
+}
+
 // --- ProbeCache ----------------------------------------------------------
 
 void Engine::ProbeCache::configure(std::uint32_t shard_width) {
@@ -337,7 +351,7 @@ Engine::Engine(const EngineConfig& config, std::shared_ptr<const Topology> topol
   for (NodeId u = 0; u < n_; ++u) active_slots_ += up_caps_[u];
 
   const std::uint32_t shards = (n_ + opt_.shard_nodes - 1) / opt_.shard_nodes;
-  shard_intents_.resize(shards);
+  senders_.resize(shards);
   shard_view_.resize(shards);
   switch (opt_.scheduler) {
     case SchedKind::kRandomized:
@@ -365,14 +379,13 @@ Engine::Engine(const EngineConfig& config, std::shared_ptr<const Topology> topol
   recv_width_ = std::bit_ceil((n_ + want - 1) / want);
   recv_shift_ = static_cast<std::uint32_t>(std::countr_zero(recv_width_));
   recv_shards_ = (n_ + recv_width_ - 1) / recv_width_;
-  delivered_.resize(recv_shards_);
+  receivers_.resize(recv_shards_);
   bucket_offsets_.assign(recv_shards_ + 1, 0);
   intent_offsets_.assign(shards + 1, 0);
   emit_offsets_.assign(shards + 1, 0);
-  scatter_pos_.assign(static_cast<std::size_t>(shards) * recv_shards_, 0);
+  scatter_stride_ = pad_to_cache_lines<std::uint32_t>(recv_shards_);
+  scatter_pos_.assign(shards * scatter_stride_, 0);
   freq_scratch_.configure(recv_shards_, k_);
-  leaving_shards_.resize(recv_shards_);
-  completions_scratch_.assign(recv_shards_, 0);
 
   departures_ = cfg_.departures;
   std::sort(departures_.begin(), departures_.end());
@@ -779,7 +792,7 @@ void Engine::generate_range(std::uint64_t tick_base, NodeId first, NodeId last,
 
 void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool) {
   const std::uint32_t shard = opt_.shard_nodes;
-  const auto num_shards = static_cast<std::uint32_t>(shard_intents_.size());
+  const auto num_shards = static_cast<std::uint32_t>(senders_.size());
   const bool timing = opt_.collect_phase_timings;
   auto stamp = std::chrono::steady_clock::time_point{};
   if (timing) stamp = std::chrono::steady_clock::now();
@@ -803,7 +816,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
   const std::vector<Transfer>* planned = sched_->begin_tick(tick);
   if (planned == nullptr) {
     for_shards(pool, num_shards, [&](std::uint32_t s) {
-      auto& intents = shard_intents_[s];
+      auto& intents = senders_[s].value.intents;
       intents.clear();
       const auto first = static_cast<NodeId>(static_cast<std::uint64_t>(s) * shard);
       const auto last = static_cast<NodeId>(
@@ -832,7 +845,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
   if (planned != nullptr) {
     total_wide = planned->size();
   } else {
-    for (const auto& intents : shard_intents_) total_wide += intents.size();
+    for (const auto& slot : senders_) total_wide += slot.value.intents.size();
   }
   assert(total_wide <= std::numeric_limits<std::uint32_t>::max());
   const auto total = static_cast<std::uint32_t>(total_wide);
@@ -850,7 +863,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
     // tick. A planned stream is admitted in one pass; the sharded generate's
     // vectors are its S consecutive pieces. apply_merged sees sparse_tick_
     // and commits serially too.
-    PairTable& delivered = delivered_[0];
+    PairTable& delivered = receivers_[0].value.delivered;
     delivered.begin_tick(total);
     const auto admit_serial = [&](std::span<const Transfer> intents) {
       for (const Transfer& tr : intents) {
@@ -873,7 +886,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
     if (planned != nullptr) {
       admit_serial(*planned);
     } else {
-      for (const auto& intents : shard_intents_) admit_serial(intents);
+      for (const auto& slot : senders_) admit_serial(slot.value.intents);
     }
     if (timing) timings_.merge_seconds += seconds_since(stamp);
     return;
@@ -892,7 +905,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
           lo, planned->end(), [&](const Transfer& t) { return t.from < last; });
       shard_view_[s] = {lo, hi};
     } else {
-      shard_view_[s] = shard_intents_[s];
+      shard_view_[s] = senders_[s].value.intents;
     }
     intent_offsets_[s + 1] = intent_offsets_[s] + shard_view_[s].size();
   }
@@ -900,7 +913,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
 
   // 2b. Count intents per (intent shard, receiver shard).
   for_shards(pool, num_shards, [&](std::uint32_t s) {
-    std::uint32_t* cnt = scatter_pos_.data() + static_cast<std::size_t>(s) * R;
+    std::uint32_t* cnt = scatter_pos_.data() + s * scatter_stride_;
     std::fill_n(cnt, R, 0u);
     for (const Transfer& tr : shard_view_[s]) ++cnt[recv_shard_of(tr.to)];
   });
@@ -910,7 +923,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
   for (std::uint32_t r = 0; r < R; ++r) {
     bucket_offsets_[r] = running;
     for (std::uint32_t s = 0; s < num_shards; ++s) {
-      std::uint32_t& cell = scatter_pos_[static_cast<std::size_t>(s) * R + r];
+      std::uint32_t& cell = scatter_pos_[s * scatter_stride_ + r];
       const std::uint32_t c = cell;
       cell = running;
       running += c;
@@ -932,7 +945,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
     accept_.resize(total);
   }
   for_shards(pool, num_shards, [&](std::uint32_t s) {
-    std::uint32_t* cur = scatter_pos_.data() + static_cast<std::size_t>(s) * R;
+    std::uint32_t* cur = scatter_pos_.data() + s * scatter_stride_;
     auto g = static_cast<std::uint32_t>(intent_offsets_[s]);
     for (const Transfer& tr : shard_view_[s]) {
       bucket_[cur[recv_shard_of(tr.to)]++] = MergeItem{tr, g++};
@@ -945,7 +958,7 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
   for_shards(pool, R, [&](std::uint32_t r) {
     const std::uint32_t lo = bucket_offsets_[r];
     const std::uint32_t hi = bucket_offsets_[r + 1];
-    PairTable& delivered = delivered_[r];
+    PairTable& delivered = receivers_[r].value.delivered;
     delivered.begin_tick(hi - lo);
     // (No software prefetch here: each receiver shard's working set —
     // its slice of down_used_/down_stamp_ — is small enough to stay
@@ -990,10 +1003,12 @@ void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool
     for (std::size_t g = intent_offsets_[s]; g < intent_offsets_[s + 1]; ++g) {
       acc += accept_[g];
     }
-    emit_offsets_[s + 1] = acc;
+    senders_[s].value.accepted = acc;
   });
   emit_offsets_[0] = 0;
-  for (std::uint32_t s = 0; s < num_shards; ++s) emit_offsets_[s + 1] += emit_offsets_[s];
+  for (std::uint32_t s = 0; s < num_shards; ++s) {
+    emit_offsets_[s + 1] = emit_offsets_[s] + senders_[s].value.accepted;
+  }
   const std::size_t base = out.size();
   out.resize(base + emit_offsets_[num_shards]);
   for_shards(pool, num_shards, [&](std::uint32_t s) {
@@ -1087,8 +1102,8 @@ void Engine::apply_merged(Tick tick, std::span<const Transfer> accepted,
   // num_incomplete_ afterwards.
   for_shards(pool, R, [&](std::uint32_t r) {
     std::uint32_t* freq_row = freq_scratch_.shard(r);
-    auto& leaving = leaving_shards_[r];
-    leaving.clear();
+    ReceiverShard& shard = receivers_[r].value;
+    shard.leaving.clear();
     std::uint32_t completions = 0;
     const std::uint32_t hi = bucket_offsets_[r + 1];
     for (std::uint32_t i = bucket_offsets_[r]; i < hi; ++i) {
@@ -1111,17 +1126,17 @@ void Engine::apply_merged(Tick tick, std::span<const Transfer> accepted,
       if (deliver_block(tr.to, tr.block)) {
         completion_[tr.to] = tick;
         ++completions;
-        if (cfg_.depart_on_complete) leaving.push_back(tr.to);
+        if (cfg_.depart_on_complete) shard.leaving.push_back(tr.to);
       }
     }
-    completions_scratch_[r] = completions;
+    shard.completions = completions;
   });
   for (std::uint32_t r = 0; r < R; ++r) {
-    num_incomplete_ -= completions_scratch_[r];
-    completions_scratch_[r] = 0;
+    ReceiverShard& shard = receivers_[r].value;
+    num_incomplete_ -= shard.completions;
+    shard.completions = 0;
     if (cfg_.depart_on_complete) {
-      leaving_.insert(leaving_.end(), leaving_shards_[r].begin(),
-                      leaving_shards_[r].end());
+      leaving_.insert(leaving_.end(), shard.leaving.begin(), shard.leaving.end());
     }
   }
 
@@ -1355,12 +1370,17 @@ std::uint64_t Engine::state_bytes() const {
   // high-water capacity — at n = 10^6 they are a triple-digit-MiB chunk of
   // the real footprint the old accounting omitted (it reported 161 MiB
   // against a 503 MiB RSS).
-  for (const auto& intents : shard_intents_) {
-    bytes += intents.capacity() * sizeof(Transfer);
+  bytes += senders_.capacity() * sizeof(ShardSlot<SenderShard>);
+  for (const auto& slot : senders_) {
+    bytes += slot.value.intents.capacity() * sizeof(Transfer);
   }
   bytes += shard_view_.capacity() * sizeof(std::span<const Transfer>);
   bytes += sched_->memory_bytes();  // randomized probe scratch, riffle segments
-  for (const PairTable& table : delivered_) bytes += table.memory_bytes();
+  bytes += receivers_.capacity() * sizeof(ShardSlot<ReceiverShard>);
+  for (const auto& slot : receivers_) {
+    bytes += slot.value.delivered.memory_bytes() +
+             slot.value.leaving.capacity() * sizeof(NodeId);
+  }
   bytes += intent_offsets_.capacity() * sizeof(std::size_t);
   bytes += scatter_pos_.capacity() * sizeof(std::uint32_t);
   bytes += bucket_offsets_.capacity() * sizeof(std::uint32_t);
@@ -1368,8 +1388,6 @@ std::uint64_t Engine::state_bytes() const {
   bytes += accept_.capacity();
   bytes += emit_offsets_.capacity() * sizeof(std::uint32_t);
   bytes += freq_scratch_.memory_bytes();
-  for (const auto& leaving : leaving_shards_) bytes += leaving.capacity() * sizeof(NodeId);
-  bytes += completions_scratch_.capacity() * sizeof(std::uint32_t);
   bytes += leaving_.capacity() * sizeof(NodeId);
   bytes += accepted_.capacity() * sizeof(Transfer);
   bytes += departures_.capacity() * sizeof(std::pair<Tick, NodeId>);

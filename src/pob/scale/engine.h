@@ -71,6 +71,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -406,17 +407,28 @@ class Engine {
   // possession rows. Sparse by construction: endgame scans record one or
   // two entries, not ceil(k/64).
   struct DiffScan {
-    std::vector<std::uint32_t> widx;   // possession-word index per entry
-    std::vector<std::uint64_t> words;  // su[w] & ~sv[w], nonzero only
-    std::vector<std::uint32_t> pc;     // popcount per entry
+    /// Sizes the three arrays for rows of `stride` words, in one allocation
+    /// that starts on a cache line and is padded to whole lines: at k <= 512
+    /// each array is 16-64 bytes, and as separate heap blocks the arrays of
+    /// different shards' scans would sit side by side on shared lines.
+    void configure(std::uint32_t stride);
+
+    std::uint64_t* words = nullptr;  // su[w] & ~sv[w], nonzero only
+    std::uint32_t* widx = nullptr;   // possession-word index per entry
+    std::uint32_t* pc = nullptr;     // popcount per entry
     std::uint32_t entries = 0;
     std::uint32_t total = 0;  // sum of pc over entries
 
-    std::uint64_t memory_bytes() const {
-      return widx.capacity() * sizeof(std::uint32_t) +
-             words.capacity() * sizeof(std::uint64_t) +
-             pc.capacity() * sizeof(std::uint32_t);
-    }
+    std::uint64_t memory_bytes() const { return bytes_; }
+
+   private:
+    struct Free {
+      void operator()(std::byte* p) const noexcept {
+        CacheLineAllocator<std::byte>().deallocate(p, 0);
+      }
+    };
+    std::unique_ptr<std::byte[], Free> storage_;
+    std::size_t bytes_ = 0;
   };
 
   std::uint64_t* row(NodeId node) {
@@ -588,23 +600,44 @@ class Engine {
   // live here now, not in the engine).
   std::unique_ptr<ScaleScheduler> sched_;
 
-  // Tick scratch (reused, never shrunk).
-  std::vector<std::vector<Transfer>> shard_intents_;  // sharded generate only
-  // The dense merge's per-intent-shard input: shard_intents_[s], or the
-  // shard's sender slice of the scheduler's planned stream.
+  // What one intent shard writes during the tick: its generate output and
+  // its accepted-intent count in the merge's emit pass.
+  struct SenderShard {
+    std::vector<Transfer> intents;  // sharded generate only
+    std::uint32_t accepted = 0;
+  };
+  // What one receiver shard writes during the tick: its admission table in
+  // the merge, its completions and their depart-on-complete queue in the
+  // commit.
+  struct ReceiverShard {
+    PairTable delivered;
+    std::vector<NodeId, CacheLineAllocator<NodeId>> leaving;
+    std::uint32_t completions = 0;
+  };
+  static_assert(alignof(ShardSlot<SenderShard>) == kCacheLine &&
+                sizeof(ShardSlot<SenderShard>) % kCacheLine == 0);
+  static_assert(alignof(ShardSlot<ReceiverShard>) == kCacheLine &&
+                sizeof(ShardSlot<ReceiverShard>) % kCacheLine == 0);
+
+  // Tick scratch (reused, never shrunk). Everything a shard writes during a
+  // phase sits on cache lines no other shard writes: per-shard state in a
+  // ShardSlot, per-shard rows padded to whole lines on a line-aligned base.
+  std::vector<ShardSlot<SenderShard>> senders_;
+  // The dense merge's per-intent-shard input: the shard's intents, or its
+  // sender slice of the scheduler's planned stream.
   std::vector<std::span<const Transfer>> shard_view_;
   std::vector<std::uint32_t> down_used_;    // stamped by down_stamp_
   std::vector<Tick> down_stamp_;
-  std::vector<PairTable> delivered_;        // one per receiver shard
+  std::vector<ShardSlot<ReceiverShard>> receivers_;
   std::vector<std::size_t> intent_offsets_; // canonical stream offsets, S+1
-  std::vector<std::uint32_t> scatter_pos_;  // S x R counts, then cursors
+  // S rows of R counts, then cursors; each row padded to whole lines.
+  std::vector<std::uint32_t, CacheLineAllocator<std::uint32_t>> scatter_pos_;
+  std::size_t scatter_stride_ = 0;          // row pitch of scatter_pos_
   std::vector<std::uint32_t> bucket_offsets_;  // R+1 into bucket_
   std::vector<MergeItem> bucket_;           // intents grouped by recv shard
   std::vector<std::uint8_t> accept_;        // admission flag per intent idx
   std::vector<std::uint32_t> emit_offsets_; // accepted-stream offsets, S+1
   ShardScratch<std::uint32_t> freq_scratch_;   // R x k frequency deltas
-  std::vector<std::vector<NodeId>> leaving_shards_;  // per recv shard
-  std::vector<std::uint32_t> completions_scratch_;   // per recv shard
   std::vector<NodeId> leaving_;  // depart_on_complete queue (run() only)
   std::vector<Transfer> accepted_;
 

@@ -28,11 +28,18 @@ class RandomizedScheduler final : public ScaleScheduler {
   std::uint64_t memory_bytes() const override;
 
  private:
+  // One shard's probe scratch. Shard-owned: node u always generates in
+  // shard u / shard_nodes, so scans and cache entries never cross threads,
+  // and each shard's slot sits on cache lines of its own.
+  struct ProbeScratch {
+    Engine::DiffScan scan;
+    Engine::ProbeCache cache;
+  };
+  static_assert(alignof(ShardSlot<ProbeScratch>) == kCacheLine &&
+                sizeof(ShardSlot<ProbeScratch>) % kCacheLine == 0);
+
   Engine& engine_;
-  // Shard-owned: node u always generates in shard u / shard_nodes, so scans
-  // and cache entries never cross threads.
-  std::vector<Engine::DiffScan> scratch_;
-  std::vector<Engine::ProbeCache> cache_;
+  std::vector<ShardSlot<ProbeScratch>> scratch_;
 };
 
 }  // namespace pob::scale

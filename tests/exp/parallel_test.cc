@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -133,6 +134,72 @@ void expect_bit_identical(const TrialStats& a, const TrialStats& b) {
     EXPECT_EQ(sa.min, sb.min);
     EXPECT_EQ(sa.max, sb.max);
     EXPECT_EQ(sa.median, sb.median);
+  }
+}
+
+std::uintptr_t address_of(const void* p) { return reinterpret_cast<std::uintptr_t>(p); }
+
+TEST(ShardSlot, ConsecutiveSlotsSitOnDistinctCacheLines) {
+  // A slot smaller than a line (a vector header) and one that spills into a
+  // second line: either way every slot starts on a line boundary, and the
+  // next slot starts at least a whole line later.
+  struct Wide {
+    std::uint64_t words[9];
+  };
+  static_assert(alignof(ShardSlot<std::vector<int>>) == kCacheLine &&
+                sizeof(ShardSlot<std::vector<int>>) % kCacheLine == 0);
+  static_assert(alignof(ShardSlot<Wide>) == kCacheLine &&
+                sizeof(ShardSlot<Wide>) % kCacheLine == 0);
+
+  std::vector<ShardSlot<std::vector<int>>> headers(5);
+  for (std::size_t s = 0; s < headers.size(); ++s) {
+    EXPECT_EQ(address_of(&headers[s]) % kCacheLine, 0u) << "slot " << s;
+    if (s > 0) {
+      EXPECT_GE(address_of(&headers[s]) - address_of(&headers[s - 1]), kCacheLine);
+    }
+  }
+  std::vector<ShardSlot<Wide>> wide(4);
+  for (std::size_t s = 1; s < wide.size(); ++s) {
+    EXPECT_EQ(address_of(&wide[s]) % kCacheLine, 0u) << "slot " << s;
+    EXPECT_GE(address_of(&wide[s]) - address_of(&wide[s - 1]), 2 * kCacheLine);
+  }
+}
+
+TEST(CacheLineAllocator, BuffersStartOnALine) {
+  for (const std::size_t count : {1u, 3u, 16u, 17u, 1000u}) {
+    std::vector<std::uint32_t, CacheLineAllocator<std::uint32_t>> buf(count, 7u);
+    EXPECT_EQ(address_of(buf.data()) % kCacheLine, 0u) << "count " << count;
+    EXPECT_EQ(buf.back(), 7u);
+  }
+  EXPECT_EQ(pad_to_cache_lines<std::uint32_t>(0), 0u);
+  EXPECT_EQ(pad_to_cache_lines<std::uint32_t>(1), 16u);
+  EXPECT_EQ(pad_to_cache_lines<std::uint32_t>(16), 16u);
+  EXPECT_EQ(pad_to_cache_lines<std::uint32_t>(49), 64u);
+  EXPECT_EQ(pad_to_cache_lines<std::uint64_t>(9), 16u);
+}
+
+TEST(ShardScratch, RowsStartOnTheirOwnLinesAndReduceInShardOrder) {
+  // A width of 5 counters is a fraction of a line: each row must still
+  // start on a line of its own, and the padding must not leak into the
+  // reduction.
+  ShardScratch<std::uint32_t> scratch;
+  scratch.configure(3, 5);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(address_of(scratch.shard(s)) % kCacheLine, 0u) << "row " << s;
+    if (s > 0) {
+      EXPECT_GE(address_of(scratch.shard(s)) - address_of(scratch.shard(s - 1)),
+                kCacheLine);
+    }
+  }
+  ThreadPool pool(3);
+  pool.parallel_for(3, [&](std::uint32_t s) {
+    for (std::uint32_t i = 0; i < 5; ++i) scratch.shard(s)[i] = (s + 1) * 10 + i;
+  });
+  std::vector<std::uint32_t> out(5, 1);
+  scratch.reduce_into(out.data(), &pool);
+  for (std::uint32_t i = 0; i < 5; ++i) EXPECT_EQ(out[i], 1 + 60 + 3 * i) << "column " << i;
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    for (std::uint32_t i = 0; i < 5; ++i) EXPECT_EQ(scratch.shard(s)[i], 0u);
   }
 }
 

@@ -41,6 +41,10 @@ constexpr std::uint64_t kBinomial262kDigest = 0xce992a8dbb1d2100ULL;
 constexpr std::uint64_t kTriangular262kDigest = kBinomial262kDigest;
 constexpr std::uint64_t kRiffle262kDigest = 0x4842fc682201766dULL;
 
+// Cooperative randomized at 2^16 x 256, degree 16, run to completion;
+// captured before per-shard state moved onto its own cache lines.
+constexpr std::uint64_t kSixteenShards65kDigest = 17618284842672967801ULL;
+
 TEST(ScaleParallel, TwoHundredThousandNodesEveryPhaseSharded) {
   constexpr std::uint32_t kNodes = 200000;
   constexpr std::uint64_t kSeed = 29;
@@ -179,6 +183,32 @@ TEST(ScaleParallel, CompactionSurvivesChurnCreditAndHeteroCaps) {
 
   EXPECT_EQ(digest_with(ScanKernel::kAuto, 1), kCreditRarest200kDigest);
   EXPECT_EQ(digest_with(ScanKernel::kScalar, 4), kCreditRarest200kDigest);
+}
+
+TEST(ScaleParallel, SixteenGenerateShardsOnePerClaimPinned) {
+  // n = 2^16 at the default 4096-node shards: 16 intent shards, so the
+  // pool claims one shard at a time at every job count above 1 and
+  // neighbouring shards always run on different workers. Per-shard state
+  // that shares a cache line is contended hardest here; whatever its
+  // layout, the run must match the serial one bit for bit.
+  constexpr std::uint32_t kNodes = 65536;
+  EngineConfig cfg;
+  cfg.num_nodes = kNodes;
+  cfg.num_blocks = 256;
+
+  const auto digest_at = [&](unsigned jobs) {
+    Rng rng(1);
+    auto topo = std::make_shared<Topology>(
+        Topology::from_graph(make_random_regular(kNodes, 16, rng)));
+    Engine engine(cfg, std::move(topo), ScaleOptions{}, 1);
+    const RunResult r = engine.run(jobs);
+    EXPECT_TRUE(r.completed) << "jobs=" << jobs;
+    return check::run_result_digest(r);
+  };
+
+  for (const unsigned jobs : {1u, 2u, 4u}) {
+    EXPECT_EQ(digest_at(jobs), kSixteenShards65kDigest) << "jobs=" << jobs;
+  }
 }
 
 TEST(ScaleParallel, DeterministicSchedulersQuarterMillionNodesPinned) {
