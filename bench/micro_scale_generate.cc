@@ -12,8 +12,9 @@
 //
 // Repeated plans at one tick emit the identical intent stream (the bench
 // asserts it), but not identical seconds: the first iteration runs cold,
-// later ones hit the probe cache and the sated stamps. Per-iteration rows
-// expose exactly that warm-up, which whole-run numbers average away.
+// later ones find warm cache lines and the sated stamps the first one
+// wrote, so their exhausted nodes skip the neighborhood sweep. Per-iteration
+// rows expose exactly that warm-up, which whole-run numbers average away.
 //
 //   micro_scale_generate                       # 200k x 128, warm 120 ticks
 //   micro_scale_generate --n=50000 --iters=8

@@ -112,9 +112,10 @@ int main_impl(int argc, char** argv) {
   } else if (workload == "poisson") {
     // Steady trickle. gap16 = 2 is the densest non-degenerate rate (~16
     // arrivals/tick: the geometric gap has mean gap16 - 1 subticks), so a
-    // 10^6-node swarm spends ~62k ticks just arriving — that long, mostly
-    // sated tail is exactly what this workload measures against the flash
-    // crowd's compressed burst.
+    // 10^6-node swarm spends ~62k ticks just arriving — that long tail, in
+    // which most senders are sated and every arrival wipes their stamps
+    // (one O(n) pass per arrival-bearing tick), is exactly what this
+    // workload measures against the flash crowd's compressed burst.
     spec.workload.arrivals = scale::stream::ArrivalPattern::kPoisson;
     spec.workload.mean_gap16 = args.get_uint("gap16", n >= 100000 ? 2 : 8);
   } else if (workload == "burst") {

@@ -771,9 +771,9 @@ scale::ScaleOptions make_scale_options(const Scenario& sc) {
   opt.collect_phase_timings = ((sc.seed >> 40) & 1) != 0;
   // Half start from the scalar reference scan kernel; run_scale_scenario
   // additionally re-runs every scenario under the flipped kernel and
-  // requires the identical stream, so the fuzzer sweeps the unrolled/
-  // summary/cache fast paths against the plain one-word loop on every shape
-  // it visits.
+  // requires the identical stream, so the fuzzer sweeps the unrolled and
+  // summary-guided scans against the plain one-word loop on every shape it
+  // visits.
   opt.scan_kernel = ((sc.seed >> 41) & 1) != 0 ? scale::ScanKernel::kScalar
                                                : scale::ScanKernel::kAuto;
   return opt;

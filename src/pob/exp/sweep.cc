@@ -35,7 +35,12 @@ TrialStats repeat_trials(std::uint32_t runs,
 }
 
 std::string completion_cell(const TrialStats& stats, double cap, int precision) {
-  if (stats.all_censored()) return ">" + fmt(cap, 0) + " (censored)";
+  if (stats.all_censored()) {
+    std::string cell = ">";
+    cell += fmt(cap, 0);
+    cell += " (censored)";
+    return cell;
+  }
   std::string cell = fmt_ci(stats.completion.mean, stats.completion.ci95, precision);
   if (stats.censored > 0) {
     cell += " [" + std::to_string(stats.censored) + "/" + std::to_string(stats.runs) +

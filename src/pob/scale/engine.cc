@@ -18,20 +18,8 @@ namespace pob::scale {
 
 namespace {
 
-// splitmix64 finalizer; good avalanche for open-addressed probing.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t delivery_key(NodeId to, BlockId block) {
   return (static_cast<std::uint64_t>(to) << 32) | block;
-}
-
-std::uint64_t probe_key(NodeId u, NodeId v) {
-  return (static_cast<std::uint64_t>(u) << 32) | v;
 }
 
 // Runs body(s) for s in [0, count): on the pool when it has real workers,
@@ -89,52 +77,6 @@ bool Engine::PairTable::insert(std::uint64_t key) {
   }
   slots_[i] = Slot{key, epoch_};
   return true;
-}
-
-// --- DiffScan ------------------------------------------------------------
-
-void Engine::DiffScan::configure(std::uint32_t stride) {
-  // words first, so every array starts on its own element alignment.
-  const std::size_t words_bytes = std::size_t{stride} * sizeof(std::uint64_t);
-  const std::size_t index_bytes = std::size_t{stride} * sizeof(std::uint32_t);
-  bytes_ = pad_to_cache_lines<std::byte>(words_bytes + 2 * index_bytes);
-  storage_.reset(CacheLineAllocator<std::byte>().allocate(bytes_));
-  std::byte* base = storage_.get();
-  words = reinterpret_cast<std::uint64_t*>(base);
-  widx = reinterpret_cast<std::uint32_t*>(base + words_bytes);
-  pc = reinterpret_cast<std::uint32_t*>(base + words_bytes + index_bytes);
-}
-
-// --- ProbeCache ----------------------------------------------------------
-
-void Engine::ProbeCache::configure(std::uint32_t shard_width) {
-  std::size_t want = 16;
-  const std::size_t target = static_cast<std::size_t>(shard_width) * 2;
-  while (want < target) want <<= 1;
-  keys_.assign(want, ~0ULL);  // real keys have u < kNoNode, never ~0
-  ver_from_.assign(want, 0);
-  ver_to_.assign(want, 0);
-  mask_ = want - 1;
-}
-
-bool Engine::ProbeCache::is_useless(NodeId u, NodeId v, std::uint32_t ver_u,
-                                    std::uint32_t ver_v) const {
-  const std::uint64_t key = probe_key(u, v);
-  const auto i = static_cast<std::size_t>(mix64(key) & mask_);
-  // Exact or nothing: the key AND both possession versions must match, so a
-  // hit replays a verdict computed from these precise rows. A collision or
-  // a stale version is simply a miss and the caller rescans — the cache can
-  // never change which intents are emitted, only how fast failure is found.
-  return keys_[i] == key && ver_from_[i] == ver_u && ver_to_[i] == ver_v;
-}
-
-void Engine::ProbeCache::note_useless(NodeId u, NodeId v, std::uint32_t ver_u,
-                                      std::uint32_t ver_v) {
-  const std::uint64_t key = probe_key(u, v);
-  const auto i = static_cast<std::size_t>(mix64(key) & mask_);
-  keys_[i] = key;  // direct-mapped: collisions overwrite
-  ver_from_[i] = ver_u;
-  ver_to_[i] = ver_v;
 }
 
 // --- Engine --------------------------------------------------------------
@@ -298,12 +240,12 @@ Engine::Engine(const EngineConfig& config, std::shared_ptr<const Topology> topol
   }
 
   // Every per-probe random access lands in one of the arrays below. The
-  // big uint64 arenas go through huge_alloc (hugemem.h): explicit 2 MiB
-  // hugetlb pages when the kernel pool has room, a THP hint otherwise.
-  // Beyond plain TLB relief this is what makes the generate phase's
-  // batched prefetch real — software prefetches that miss the TLB are
-  // dropped on common cores, so with 4 KiB pages most row prefetches into
-  // a 64 MiB arena would silently do nothing.
+  // big uint64 arenas go through huge_alloc (hugemem.h), which asks for
+  // transparent hugepages (MADV_HUGEPAGE). Beyond plain TLB relief this is
+  // what makes the generate phase's windowed prefetch real — software
+  // prefetches that miss the TLB are dropped on common cores, so with
+  // 4 KiB pages most row prefetches into a 64 MiB arena would silently do
+  // nothing.
   //
   // Over-allocate the arena by one cache line and align the row base to 64
   // bytes: a k = 512 row is then exactly one line instead of straddling
@@ -318,7 +260,6 @@ Engine::Engine(const EngineConfig& config, std::shared_ptr<const Topology> topol
   }
   summary_has_.reset(static_cast<std::size_t>(n_) * sum_stride_);
   summary_missing_.reset(static_cast<std::size_t>(n_) * sum_stride_);
-  sated_ver_.assign(n_, 0);
   count_.reset(n_);
   completion_.assign(n_, 0);
   active_.reset(n_);
@@ -411,400 +352,12 @@ BlockId Engine::top_block(NodeId node) const {
   return kNoBlock;
 }
 
-bool Engine::summary_overlap(NodeId u, NodeId v) const {
-  const std::uint64_t* hu = summary_has_row(u);
-  const std::uint64_t* mv = summary_missing_row(v);
-  for (std::uint32_t g = 0; g < sum_stride_; ++g) {
-    if ((hu[g] & mv[g]) != 0) return true;
-  }
-  return false;
-}
-
-bool Engine::scan_pair(NodeId u, const std::uint64_t* su, NodeId v,
-                       DiffScan& scan, bool guided) const {
-  std::uint32_t entries = 0;
-  std::uint32_t total = 0;
-  const auto record = [&](std::uint32_t w, std::uint64_t d) {
-    scan.widx[entries] = w;
-    scan.words[entries] = d;
-    const auto c = static_cast<std::uint32_t>(std::popcount(d));
-    scan.pc[entries] = c;
-    ++entries;
-    total += c;
-  };
-
-  const std::uint64_t* sv = row(v);
-  // Dense linear sweep, unrolled four words wide. Each quad is tested for
-  // any useful bit at once; only quads that hit pay for per-word recording.
-  const auto linear_sweep = [&] {
-    std::uint32_t w = 0;
-    for (; w + 4 <= stride_; w += 4) {
-      const std::uint64_t d0 = su[w] & ~sv[w];
-      const std::uint64_t d1 = su[w + 1] & ~sv[w + 1];
-      const std::uint64_t d2 = su[w + 2] & ~sv[w + 2];
-      const std::uint64_t d3 = su[w + 3] & ~sv[w + 3];
-      if ((d0 | d1 | d2 | d3) == 0) continue;
-      if (d0 != 0) record(w, d0);
-      if (d1 != 0) record(w + 1, d1);
-      if (d2 != 0) record(w + 2, d2);
-      if (d3 != 0) record(w + 3, d3);
-    }
-    for (; w < stride_; ++w) {
-      const std::uint64_t d = su[w] & ~sv[w];
-      if (d != 0) record(w, d);
-    }
-  };
-
-  if (opt_.scan_kernel == ScanKernel::kScalar) {
-    // Reference kernel: the historical one-word-at-a-time sweep. Every
-    // other path below must record the identical entry sequence.
-    for (std::uint32_t w = 0; w < stride_; ++w) {
-      const std::uint64_t d = su[w] & ~sv[w];
-      if (d != 0) record(w, d);
-    }
-  } else if (guided) {
-    // The caller already paid for the summary rows, so use them: chunk
-    // candidates are words where u holds something AND v still misses
-    // something. (Tail bits of both rows are 0, so a "full" sv word kills
-    // the whole word even though ~sv has garbage above the tail mask.)
-    std::uint32_t cand = 0;
-    const std::uint64_t* hu = summary_has_row(u);
-    const std::uint64_t* mv = summary_missing_row(v);
-    for (std::uint32_t g = 0; g < sum_stride_; ++g) {
-      cand += static_cast<std::uint32_t>(std::popcount(hu[g] & mv[g]));
-    }
-    if (cand == 0) {
-      scan.entries = 0;
-      scan.total = 0;
-      return false;
-    }
-    if (cand * 4 <= stride_) {
-      // Sparse guided walk: visit only candidate words, ascending — the
-      // endgame shape, where one or two chunks are still in play. The
-      // guided/linear choice is a pure function of possession state, and
-      // both record the same entries, so it cannot perturb determinism.
-      for (std::uint32_t g = 0; g < sum_stride_; ++g) {
-        std::uint64_t m = hu[g] & mv[g];
-        while (m != 0) {
-          const std::uint32_t w =
-              (g << 6) + static_cast<std::uint32_t>(std::countr_zero(m));
-          m &= m - 1;
-          const std::uint64_t d = su[w] & ~sv[w];
-          if (d != 0) record(w, d);
-        }
-      }
-    } else {
-      linear_sweep();
-    }
-  } else {
-    // Unguided: the caller's expected-diff heuristic said a rejection is
-    // unlikely, so go straight at the rows without touching the summaries.
-    linear_sweep();
-  }
-  scan.entries = entries;
-  scan.total = total;
-  return total != 0;
-}
-
-bool Engine::window_admits(NodeId v, const DiffScan& scan) const {
-  // Sequential demand: viable only if the lowest deliverable block lies in
-  // v's sliding window. Every diff bit is >= first_missing(v) — v holds its
-  // whole prefix — so only the scan's first recorded bit matters. The
-  // verdict is a pure function of both possession rows (the window bound of
-  // v's row, the lowest diff of both), so a failure may be probe-cached
-  // under the same (ver_u, ver_v) key as an empty diff.
-  const std::uint32_t lowest =
-      (scan.widx[0] << 6) + static_cast<std::uint32_t>(std::countr_zero(scan.words[0]));
-  return lowest < static_cast<std::uint64_t>(first_missing(v)) + opt_.stream_window;
-}
-
-BlockId Engine::pick_from_scan(const DiffScan& scan, Rng& rng) const {
-  if (opt_.stream_window != 0) {
-    // In-order priority: always the lowest deliverable block, no RNG draw.
-    // (The caller verified it is inside the receiver's window.)
-    return static_cast<BlockId>(
-        (scan.widx[0] << 6) + static_cast<std::uint32_t>(std::countr_zero(scan.words[0])));
-  }
-  if (opt_.policy == BlockPolicy::kRandom) {
-    // Rank-select over the recorded per-word popcounts; one rng draw, as
-    // BlockSet::pick_random_useful.
-    assert(scan.total != 0);  // caller checked usefulness
-    std::uint32_t r = rng.below(scan.total);
-    for (std::uint32_t e = 0; e < scan.entries; ++e) {
-      const std::uint32_t pc = scan.pc[e];
-      if (r < pc) {
-        std::uint64_t diff = scan.words[e];
-        while (r-- > 0) diff &= diff - 1;
-        return static_cast<BlockId>((scan.widx[e] << 6) +
-                                    static_cast<std::uint32_t>(std::countr_zero(diff)));
-      }
-      r -= pc;
-    }
-    return kNoBlock;  // unreachable
-  }
-  // Rarest first over the live replica counts, with the same reservoir
-  // tie-break idiom (and the same rng draw sequence) as
-  // BlockSet::pick_rarest_useful. Entries are recorded in ascending word
-  // order by every kernel, so the block visit order — and therefore the
-  // reservoir draws — match the historical dense walk exactly.
-  BlockId best = kNoBlock;
-  std::uint32_t best_freq = 0;
-  std::uint32_t ties = 0;
-  for (std::uint32_t e = 0; e < scan.entries; ++e) {
-    const std::uint32_t base = scan.widx[e] << 6;
-    std::uint64_t diff = scan.words[e];
-    while (diff != 0) {
-      const auto b = static_cast<BlockId>(
-          base + static_cast<std::uint32_t>(std::countr_zero(diff)));
-      diff &= diff - 1;
-      const std::uint32_t f = freq_[b];
-      if (best == kNoBlock || f < best_freq) {
-        best = b;
-        best_freq = f;
-        ties = 1;
-      } else if (f == best_freq) {
-        ++ties;
-        if (rng.below(ties) == 0) best = b;
-      }
-    }
-  }
-  return best;
-}
-
-bool Engine::probe_viable(NodeId u, const std::uint64_t* su, std::uint32_t ver_u,
-                          NodeId v, std::uint32_t ver_v, DiffScan& scan,
-                          ProbeCache& cache) {
-  // Rejection ladder, none of it consuming RNG. The summary and cache
-  // checks only pay off when the diff could plausibly be empty, so they
-  // are gated on the expected diff size |su| * (k - |sv|) / k being
-  // small; the saturated midgame — where nearly every probe is useful —
-  // skips straight to the scan and never touches the summary rows or
-  // the cache. Gating cannot change results: both checks are exact
-  // rejections, so consulting them less often only costs scans.
-  const bool maybe_useless =
-      static_cast<std::uint64_t>(ver_u) * (k_ - ver_v) <
-      (static_cast<std::uint64_t>(k_) << 3);
-  const std::uint32_t window = opt_.stream_window;
-  if (maybe_useless) {
-    if (!summary_overlap(u, v)) return false;
-    if (cache.is_useless(u, v, ver_u, ver_v)) return false;
-    if (!scan_pair(u, su, v, scan, /*guided=*/true) ||
-        (window != 0 && !window_admits(v, scan))) {
-      // Both rejections are pure functions of the two rows, so both are
-      // cacheable under the version-pinned key.
-      cache.note_useless(u, v, ver_u, ver_v);
-      return false;
-    }
-    return true;
-  }
-  return scan_pair(u, su, v, scan, /*guided=*/false) &&
-         (window == 0 || window_admits(v, scan));
-}
-
-bool Engine::neighborhood_exhausted(NodeId u, const std::uint64_t* su,
-                                    DiffScan& scan, ProbeCache& cache) {
-  // Deterministic full sweep, no RNG: is ANY neighbor a viable target right
-  // now? Every predicate below is monotone-in-failure while u's version is
-  // frozen (see the header), so a true result stays true until u itself
-  // receives a block. Failed scans are fed to the probe cache so the sweep
-  // also warms future ticks.
-  const std::uint32_t deg = topo_->degree(u);
-  const bool credit = opt_.credit_limit != 0 && u != kServer;
-  const std::uint32_t ver_u = count_[u];
-  // Two prefetch waves, metadata first. count_/active_ alone decide most
-  // neighbors — in the endgame, where sweeps actually stamp, nearly every
-  // neighbor is complete and its summary/possession rows are never read.
-  // The old single wave fetched all four lines unconditionally, which on
-  // a mostly-complete neighborhood was 2x deg useless random lines per
-  // sweep; the second wave below only touches rows the ladder will read.
-  for (std::uint32_t i = 0; i < deg; ++i) {
-    const NodeId v = topo_->neighbor(u, i);
-    __builtin_prefetch(&count_[v], 0, 1);
-    __builtin_prefetch(&active_[v], 0, 1);
-  }
-  for (std::uint32_t i = 0; i < deg; ++i) {
-    const NodeId v = topo_->neighbor(u, i);
-    if (v == u || v == kServer) continue;
-    const std::uint32_t cv = count_[v];
-    if (active_[v] == 0 || cv >= k_) continue;
-    __builtin_prefetch(summary_missing_row(v), 0, 1);
-    __builtin_prefetch(row(v), 0, 1);
-  }
-  for (std::uint32_t i = 0; i < deg; ++i) {
-    const NodeId v = topo_->neighbor(u, i);
-    if (v == u || v == kServer) continue;
-    const std::uint32_t ver_v = count_[v];
-    if (active_[v] == 0 || ver_v >= k_) continue;
-    if (credit &&
-        ledger_.net(u, v) + 1 > static_cast<std::int64_t>(opt_.credit_limit)) {
-      continue;
-    }
-    if (!summary_overlap(u, v)) continue;
-    if (cache.is_useless(u, v, ver_u, ver_v)) continue;
-    if (scan_pair(u, su, v, scan, /*guided=*/true)) return false;
-    cache.note_useless(u, v, ver_u, ver_v);
-  }
-  return true;
-}
-
-void Engine::generate_node(NodeId u, Rng& rng, NodeId first_probe,
-                           std::vector<Transfer>& out, DiffScan& scan,
-                           ProbeCache& cache) {
-  const std::uint32_t ver_u = count_[u];
-  // A complete sender scans through the shared all-ones full_row_ (one hot
-  // line instead of a million identical ones); it equals the arena row word
-  // for word, so scan recordings cannot differ.
-  const std::uint64_t* su = ver_u >= k_ ? full_row_.data() : row(u);
-  const std::uint32_t slots = up_caps_[u];
-  const std::uint32_t deg = topo_->degree(u);
-  const std::size_t first_intent = out.size();
-  const bool credit = opt_.credit_limit != 0 && u != kServer;
-
-  for (std::uint32_t slot = 0; slot < slots; ++slot) {
-    NodeId target = kNoNode;
-    for (std::uint32_t probe = 0; probe < opt_.max_probes; ++probe) {
-      // The caller consumed the very first below(deg) draw when it peeked
-      // the target for prefetching; every later draw comes from the same
-      // stream, so the sequence is exactly the historical one.
-      const NodeId v = (slot == 0 && probe == 0)
-                           ? first_probe
-                           : topo_->neighbor(u, rng.below(deg));
-      if (v == u || v == kServer) continue;  // nothing flows into the server
-      const std::uint32_t ver_v = count_[v];
-      if (active_[v] == 0 || ver_v >= k_) continue;
-      // At most one upload per (u, v) pair per tick. Together with the
-      // pre-tick ledger check below this keeps every admitted stream inside
-      // CreditLimited::check_tick: the tick's delta on an ordered pair is in
-      // {-1, 0, +1}, and +1 was pre-checked against the limit.
-      bool repeat = false;
-      for (std::size_t i = first_intent; i < out.size(); ++i) {
-        if (out[i].to == v) { repeat = true; break; }
-      }
-      if (repeat) continue;
-      if (credit &&
-          ledger_.net(u, v) + 1 > static_cast<std::int64_t>(opt_.credit_limit)) {
-        continue;
-      }
-      if (!probe_viable(u, su, ver_u, v, ver_v, scan, cache)) continue;
-      target = v;
-      break;
-    }
-    if (target == kNoNode) {
-      // Out of luck: idle for the rest of the tick. If no probe found a
-      // target AND the whole neighborhood is provably non-viable, stamp the
-      // node sated so future ticks skip it outright until it receives a
-      // block (the stamp encodes ver+1 so any delivery invalidates it).
-      // The stamp is unsound under sequential windows: a RECEIVER's prefix
-      // growth slides its window forward over u's held blocks, creating
-      // viability without u's version changing — so window mode never
-      // stamps (the version-keyed probe cache carries the load instead).
-      if (out.size() == first_intent && opt_.stream_window == 0 &&
-          neighborhood_exhausted(u, su, scan, cache)) {
-        sated_ver_[u] = ver_u + 1;
-      }
-      break;
-    }
-    out.push_back(Transfer{u, target, pick_from_scan(scan, rng)});
-  }
-}
-
-void Engine::generate_range(std::uint64_t tick_base, NodeId first, NodeId last,
-                            std::vector<Transfer>& out, DiffScan& scan,
-                            ProbeCache& cache) {
-  // Software-pipelined windows. The lead pass does everything that needs
-  // no remote state — eligibility (all sequential arrays), RNG seeding,
-  // the first neighbor draw — and prefetches the probe target's metadata
-  // and possession row. The windows are double-buffered: window W+1's
-  // lead pass runs BEFORE window W's emit pass, so every prefetch gets a
-  // full window of emit work (microseconds) to complete instead of the
-  // few dozen instructions a fused lead+emit would give the window's
-  // first nodes. Nothing here consumes draws beyond what generate_node
-  // historically consumed, and the emit order is still ascending node id.
-  constexpr std::uint32_t kBatch = 16;
-  struct Window {
-    Rng rngs[kBatch];
-    NodeId probe0[kBatch];
-    bool eligible[kBatch];
-    NodeId base = 0;
-    std::uint32_t width = 0;
-  };
-  Window wins[2];
-
-  const auto lead = [&](Window& w, NodeId base) {
-    w.base = base;
-    w.width = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(kBatch, static_cast<std::uint64_t>(last) - base));
-    for (std::uint32_t i = 0; i < w.width; ++i) {
-      const NodeId u = base + i;
-      w.eligible[i] = false;
-      if (active_[u] == 0) continue;
-      const std::uint32_t cu = count_[u];
-      // A node proven exhausted at its current possession version emits
-      // nothing and would emit nothing: skip it without touching its RNG
-      // stream (the stream is derived per (tick, node) and consumed nowhere
-      // else, so the emitted intent set — and every digest — is unchanged).
-      if (cu == 0 || sated_ver_[u] == cu + 1) continue;
-      if (up_caps_[u] == 0) continue;
-      const std::uint32_t deg = topo_->degree(u);
-      if (deg == 0) continue;
-      w.eligible[i] = true;
-      // This node's RNG stream is a pure function of (seed, tick, node), so
-      // the intents it emits do not depend on which shard/thread runs it.
-      w.rngs[i] = Rng(trial_seed(tick_base, u));
-      const NodeId v = topo_->neighbor(u, w.rngs[i].below(deg));
-      w.probe0[i] = v;
-      __builtin_prefetch(&active_[v], 0, 1);
-      __builtin_prefetch(&count_[v], 0, 1);
-      const std::uint64_t* rv = row(v);
-      __builtin_prefetch(rv, 0, 1);
-      if (stride_ > 8) __builtin_prefetch(rv + stride_ - 1, 0, 1);
-      // Deliberately NOT peeking probe 1's target here: a speculative
-      // RNG-copy peek plus three more prefetches per slot was measured
-      // ~2% slower end-to-end at n = 10^6 — the extra neighbor lookup and
-      // prefetch traffic outweigh the occasional saved miss, because the
-      // probe cache and sated-skip already resolve most second probes
-      // without touching the arena.
-    }
-  };
-  const auto emit = [&](Window& w) {
-    for (std::uint32_t i = 0; i < w.width; ++i) {
-      if (w.eligible[i]) {
-        generate_node(w.base + i, w.rngs[i], w.probe0[i], out, scan, cache);
-      }
-    }
-  };
-
-  if (first >= last) return;
-  lead(wins[0], first);
-  std::uint32_t cur = 0;
-  for (;;) {
-    const NodeId next = wins[cur].base + wins[cur].width;
-    if (next < last) {
-      lead(wins[cur ^ 1], next);
-      emit(wins[cur]);
-      cur ^= 1;
-    } else {
-      emit(wins[cur]);
-      break;
-    }
-  }
-}
-
 void Engine::plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool) {
   const std::uint32_t shard = opt_.shard_nodes;
   const auto num_shards = static_cast<std::uint32_t>(senders_.size());
   const bool timing = opt_.collect_phase_timings;
   auto stamp = std::chrono::steady_clock::time_point{};
   if (timing) stamp = std::chrono::steady_clock::now();
-
-  // Arrivals since the last plan added fresh targets, so every "no viable
-  // neighbor" stamp is suspect: wipe them all, once, serially. O(n) per
-  // arrival-bearing tick — a flash crowd of m arrivals costs O(n + m), not
-  // O(n * m), and tick streams without arrivals never pay it.
-  if (sated_dirty_) {
-    std::fill(sated_ver_.begin(), sated_ver_.end(), 0u);
-    sated_dirty_ = false;
-  }
 
   // Phase 1: intent generation. begin_tick is the scheduler's serial hook;
   // a scheduler that plans the whole tick there (the riffle) returns its
@@ -1037,9 +590,8 @@ void Engine::note_delivery(NodeId to, BlockId block, std::uint64_t word) {
   // inside it reject v at the summary level from now on.
   if (word == word_full_mask(w)) summary_missing_[g] &= ~chunk_bit;
   // No separate version bump: the caller's ++count_[to] IS the possession
-  // version change, invalidating every cached verdict about `to` — on both
-  // sides: as receiver (su \ sv changed) and as sender (sv \ su changed) —
-  // and un-sating the node if a neighborhood sweep had written it off.
+  // version change, which voids any scheduler verdict keyed on `to`'s
+  // version (see possession_version).
 }
 
 bool Engine::deliver_block(NodeId to, BlockId block) {
@@ -1188,9 +740,9 @@ void Engine::deactivate(NodeId node) {
     }
   }
   if (count_[node] < k_) --num_incomplete_;
-  // No summary/version/cache bookkeeping: a departure removes viability, it
-  // never creates any, so cached "useless" verdicts and sated stamps about
-  // the survivors stay valid.
+  // No summary/version bookkeeping, and arrivals() does not move: a
+  // departure removes viability, it never creates any, so a scheduler's
+  // "no viable target" verdicts about the survivors stay valid.
 }
 
 void Engine::activate(NodeId node) {
@@ -1213,12 +765,11 @@ void Engine::activate(NodeId node) {
   if (count_[node] < k_) ++num_incomplete_;
   // Unlike deactivate, an arrival CREATES viability: the new node is a fresh
   // target, so "no viable neighbor" verdicts about its neighbors are stale.
-  // Sated stamps are not version-keyed (that is their point), so they must
-  // go; the wipe is batched to once per plan, keeping a flash crowd of m
-  // arrivals at O(n + m), not O(n * m). Probe-cache entries survive: they
-  // are exact functions of both endpoints' rows, pinned by versions, and no
-  // entry about an inactive node is ever written.
-  sated_dirty_ = true;
+  // Such verdicts are keyed on the sender's version, which the arrival does
+  // not move, so the scheduler learns of it from this counter instead and
+  // drops them once at its next begin_tick, keeping a flash crowd of m
+  // arrivals at O(n + m), not O(n * m).
+  ++arrivals_;
 }
 
 void Engine::set_capacity(NodeId node, std::uint32_t up, std::uint32_t down) {
@@ -1238,15 +789,11 @@ void Engine::set_capacity(NodeId node, std::uint32_t up, std::uint32_t down) {
     // re-promoted (a scan per change is not worth a perf-only flag).
     if (down != kUnlimited) down_caps_unlimited_ = false;
   }
-  // No sated invalidation: a sated verdict says "no neighbor has a useful
-  // block for me to send", which is about possession, not slots.
+  // arrivals() does not move: a "no viable target" verdict says no neighbor
+  // lacks a block u holds, which is about possession, not slots.
 }
 
-std::span<const Transfer> Engine::step(ThreadPool* pool) {
-  lockstep_ = true;  // the stream driver owns the loop; run() is poisoned
-  ++tick_;
-  // Same loop head as run(): due config departures, then the depart-on-
-  // complete queue, both at the START of the tick.
+void Engine::depart_due() {
   while (next_departure_ < departures_.size() &&
          departures_[next_departure_].first <= tick_) {
     deactivate(departures_[next_departure_].second);
@@ -1256,6 +803,12 @@ std::span<const Transfer> Engine::step(ThreadPool* pool) {
     for (const NodeId c : leaving_) deactivate(c);
     leaving_.clear();
   }
+}
+
+std::span<const Transfer> Engine::step(ThreadPool* pool) {
+  lockstep_ = true;  // the stream driver owns the loop; run() is poisoned
+  ++tick_;
+  depart_due();
   accepted_.clear();
   plan_phases(tick_, accepted_, pool);
   apply_merged(tick_, accepted_, pool);
@@ -1302,15 +855,7 @@ RunResult Engine::run(unsigned jobs) {
   while (num_incomplete_ != 0 && executed < cap) {
     ++tick_;
     ++executed;
-    while (next_departure_ < departures_.size() &&
-           departures_[next_departure_].first <= tick_) {
-      deactivate(departures_[next_departure_].second);
-      ++next_departure_;
-    }
-    if (cfg_.depart_on_complete) {
-      for (const NodeId c : leaving_) deactivate(c);
-      leaving_.clear();
-    }
+    depart_due();
     if (num_incomplete_ == 0) break;  // survivors may already all be done
 
     accepted_.clear();
@@ -1353,7 +898,6 @@ RunResult Engine::run(unsigned jobs) {
 std::uint64_t Engine::state_bytes() const {
   std::uint64_t bytes = bits_.size() * sizeof(std::uint64_t);
   bytes += (summary_has_.size() + summary_missing_.size()) * sizeof(std::uint64_t);
-  bytes += sated_ver_.size() * sizeof(std::uint32_t);
   bytes += count_.size() * sizeof(std::uint32_t);
   bytes += completion_.size() * sizeof(Tick);
   bytes += active_.size();
@@ -1364,8 +908,8 @@ std::uint64_t Engine::state_bytes() const {
   bytes += down_used_.size() * sizeof(std::uint32_t);
   bytes += down_stamp_.size() * sizeof(Tick);
   bytes += full_row_.capacity() * sizeof(std::uint64_t);
-  // Tick scratch: the per-shard intent vectors, diff-scan recordings and
-  // probe caches, the admission tables, the merge buckets/flags/offsets,
+  // Tick scratch: the per-shard intent vectors, the scheduler's scratch,
+  // the admission tables, the merge buckets/flags/offsets,
   // apply scratch and the accepted stream all persist between ticks at
   // high-water capacity — at n = 10^6 they are a triple-digit-MiB chunk of
   // the real footprint the old accounting omitted (it reported 161 MiB
@@ -1375,7 +919,7 @@ std::uint64_t Engine::state_bytes() const {
     bytes += slot.value.intents.capacity() * sizeof(Transfer);
   }
   bytes += shard_view_.capacity() * sizeof(std::span<const Transfer>);
-  bytes += sched_->memory_bytes();  // randomized probe scratch, riffle segments
+  bytes += sched_->memory_bytes();  // probe-walk scratch, riffle segments
   bytes += receivers_.capacity() * sizeof(ShardSlot<ReceiverShard>);
   for (const auto& slot : receivers_) {
     bytes += slot.value.delivered.memory_bytes() +

@@ -3,8 +3,8 @@
 // variant (§3.2) designed for swarms of 10^6 nodes and beyond.
 //
 // Where core::Engine is general (any Scheduler, any Mechanism, machine-
-// checked validation of every tick), scale::Engine fuses one protocol
-// family into the engine itself and trades generality for density:
+// checked validation of every tick), scale::Engine serves a fixed set of
+// ScaleSchedulers (see SchedKind) and trades generality for density:
 //
 //   * possession is one contiguous arena of packed uint64 bitset rows
 //     (n * ceil(k/64) words), not n separate BlockSet allocations;
@@ -13,17 +13,22 @@
 //     range, a MERGE sharded by receiver range, and an APPLY sharded by
 //     receiver (state commit) and sender (upload accounting) — all three on
 //     the pob/exp ThreadPool. The transfer stream and the final RunResult
-//     are bit-identical at any --jobs value: intents are a pure function of
-//     (seed, tick, node) via trial_seed-derived per-node RNG streams, every
-//     merge constraint is per-receiver (so receiver shards decide
-//     independently, each walking its receivers' intents in canonical node
-//     order), and the accepted stream is reconstructed from per-intent
-//     accept flags in the exact order the old serial merge emitted. Shard
-//     counts are pure functions of n, never of the worker count.
+//     are bit-identical at any --jobs value: a scheduler's intents are a
+//     pure function of (state, seed, tick, node) — the randomized one via
+//     trial_seed-derived per-node RNG streams — every merge constraint is
+//     per-receiver (so receiver shards decide independently, each walking
+//     its receivers' intents in canonical node order), and the accepted
+//     stream is reconstructed from per-intent accept flags in the exact
+//     order the old serial merge emitted. Shard counts are pure functions
+//     of n, never of the worker count.
 //
-// The generate phase — the single-core ceiling at n = 10^6, where endgame
-// ticks make almost every probe useless — is accelerated three ways, none
-// of which may change a single emitted intent:
+// The engine owns swarm state, the merge and the apply; a ScaleScheduler
+// (scheduler.h) owns how a tick's intents are generated. The §2.4 probe walk
+// lives in RandomizedScheduler (sched_randomized.h), which reads the state
+// below only through the const accessors: possession rows, the hierarchical
+// summaries, possession versions, active flags, capacities, replica counts,
+// the credit ledger and the arrival counter. Two pieces of that state exist
+// for the probe walk's sake and are maintained in the apply commit:
 //
 //   * a HIERARCHICAL SUMMARY per node (one bit per 64-block possession
 //     word, tail bits masked): `summary_has` marks words holding at least
@@ -31,36 +36,15 @@
 //     A probe u -> v can only be useful where summary_has(u) AND
 //     summary_missing(v) is nonzero, so near-complete receivers and empty
 //     chunks reject probes in O(ceil(k/4096)) words without touching the
-//     possession rows. Both summaries are maintained in the apply commit.
-//   * an UNROLLED word-diff scan (a portable four-word uint64 sweep;
-//     ScanKernel::kScalar forces the one-word reference loop) that records
-//     only the nonzero diff words and their popcounts, in ascending word
-//     order — so block selection consumes the identical RNG draw sequence
-//     as the historical scan.
-//   * PROBE-OUTCOME CACHES, one per sender shard, keyed on (u, v) and both
-//     endpoints' possession versions: a failed probe whose endpoints have
-//     not gained blocks since is rejected O(1) without rescanning. The
-//     version IS the per-node delivered-block count — both bump exactly
-//     once per delivery and nothing else changes possession, so count_
-//     doubles as the version array. On top of that sits a whole-node skip:
-//     when a deterministic sweep of u's neighborhood finds no viable target
-//     at all, u is marked sated until its own possession version changes.
-//     That is sound because every viability predicate is monotone while u's
-//     row is frozen — receivers only gain blocks (su \ sv shrinks),
-//     departures and completions only remove targets, and a §3.2 credit
-//     that blocks u -> v can only clear via a v -> u delivery, which bumps
-//     u's version. A sated node emits nothing and would emit nothing, so
-//     skipping its RNG stream entirely is bit-identical (per-node streams
-//     are derived per tick and unused elsewhere).
+//     possession rows.
+//   * a POSSESSION VERSION per node: the delivered-block count. Deliveries
+//     are the only possession changes, so count_ doubles as the version
+//     array the scheduler keys its per-node skip on.
 //
-// Because the saturated midgame (every probe useful) is latency-bound, the
-// engine also fights the memory system directly: the summary/cache checks
-// are gated behind a cheap expected-diff-size test so dense pairs skip
-// straight to the scan; each sender shard generates in small batches that
-// software-prefetch the first probe target's metadata and row one batch
-// ahead; and the big arenas are madvise(MADV_HUGEPAGE)d so random row
-// accesses stop paying 4 KiB TLB walks. None of this consumes RNG draws or
-// changes a comparison outcome, so the intent stream is untouched.
+// The engine also fights the memory system directly: the big arenas are
+// madvise(MADV_HUGEPAGE)d so random row accesses stop paying 4 KiB TLB
+// walks, which also lets the scheduler's software prefetches fire. None of
+// this changes a comparison outcome, so the intent stream is untouched.
 //
 // The engine emits only legal transfers by construction; it is NOT trusted
 // on its own. scale::MirrorScheduler replays the exact same plan/apply
@@ -151,10 +135,9 @@ struct ScaleOptions {
   /// the draw sequence differs from random mode by design; within one mode
   /// the stream stays bit-identical at any job count). Because a receiver's
   /// window advances when its prefix grows, a previously useless sender can
-  /// become useful without the SENDER's version changing — so the sated-
-  /// node skip is disabled in this mode (the probe cache stays sound: its
-  /// entries are keyed on both endpoints' versions, and the window bound is
-  /// a pure function of the receiver's row). Randomized schedulers only.
+  /// become useful without the SENDER's version changing — so the
+  /// randomized scheduler's per-node exhaustion skip is off in this mode.
+  /// Randomized schedulers only.
   std::uint32_t stream_window = 0;
 };
 
@@ -227,9 +210,8 @@ class Engine {
 
   /// (Re)admits a node (idempotent; no-op for an active node): its capacity
   /// rejoins the active upload slots, its held blocks count as replicas
-  /// again, and — because a fresh incomplete target appeared — every sated
-  /// stamp in the swarm is invalidated (batched: cleared once at the next
-  /// plan, not per arrival).
+  /// again, and arrivals() advances — a fresh target appeared, which the
+  /// randomized scheduler must see at its next begin_tick.
   void activate(NodeId node);
 
   /// Changes a node's capacities mid-run (client rule d >= u enforced,
@@ -288,11 +270,49 @@ class Engine {
   std::uint64_t summary_missing_word(NodeId node, std::uint32_t g) const {
     return summary_missing_[static_cast<std::size_t>(node) * sum_stride_ + g];
   }
-  /// Monotone counter bumped once per block `node` receives; probe-cache
-  /// entries and the sated-node skip are keyed on it. It is exactly the
+  /// Monotone counter bumped once per block `node` receives; the
+  /// randomized scheduler's per-node skip is keyed on it. It is exactly the
   /// delivered-block count (the server's stays at k forever): deliveries
   /// are the only possession changes, so count and version coincide.
   std::uint32_t possession_version(NodeId node) const { return count_[node]; }
+
+  // --- Read-only state for schedulers -----------------------------------
+  // Everything a scheduler may read of the swarm. All of it is frozen
+  // while a tick's intents are generated (the commit runs afterwards), and
+  // none of the arrays moves after construction.
+
+  /// Words per possession row: ceil(k/64).
+  std::uint32_t words_per_row() const { return stride_; }
+  /// `node`'s possession row (words_per_row() words, tail bits 0).
+  const std::uint64_t* possession_row(NodeId node) const { return row(node); }
+  /// One shared all-ones (tail-masked) row, word for word what a complete
+  /// node's possession row holds.
+  const std::uint64_t* full_row() const { return full_row_.data(); }
+  /// `node`'s summary rows (summary_words_per_row() words each); see
+  /// summary_has_word / summary_missing_word.
+  const std::uint64_t* summary_has_row(NodeId node) const {
+    return summary_has_.data() + static_cast<std::size_t>(node) * sum_stride_;
+  }
+  const std::uint64_t* summary_missing_row(NodeId node) const {
+    return summary_missing_.data() + static_cast<std::size_t>(node) * sum_stride_;
+  }
+  /// possession_version of every node, indexed by node id (hot loops and
+  /// prefetches take the array rather than one call per node).
+  const std::uint32_t* possession_versions() const { return count_.data(); }
+  /// is_active of every node as one byte per node id (nonzero = active).
+  const std::uint8_t* active_flags() const { return active_.data(); }
+  /// `node`'s upload slots per tick.
+  std::uint32_t upload_capacity(NodeId node) const { return up_caps_[node]; }
+  /// Replicas of `block` among active nodes.
+  std::uint32_t replicas(BlockId block) const { return freq_[block]; }
+  /// The §3.2 pairwise ledger, as of the start of the tick (recorded only
+  /// for randomized credit-limited runs; see ScaleOptions::credit_limit).
+  const CreditLedger& ledger() const { return ledger_; }
+  std::uint64_t seed() const { return seed_; }
+  /// Number of activate() calls that readmitted a node so far. A scheduler
+  /// that caches "no viable target" verdicts compares it between ticks: an
+  /// arrival is the one state change that creates targets.
+  std::uint64_t arrivals() const { return arrivals_; }
 
   // --- Generate introspection (bench reports) ---------------------------
   // Bench reports print these three. The engine has one per-sender walk
@@ -313,20 +333,15 @@ class Engine {
 
   /// Arena + index + tick-scratch memory actually allocated, for bench
   /// reporting: possession arena and summaries, the shared full row,
-  /// per-node arrays (counts — which double as possession versions — sated
-  /// stamps, capacities, upload totals), topology CSR, the per-shard intent
-  /// vectors, diff-scan scratch and probe caches, the merge/apply scratch
-  /// (buckets, accept flags, admission tables, frequency scratch), and the
-  /// credit ledger. Nothing is freed mid-run, so the figure never shrinks.
+  /// per-node arrays (counts — which double as possession versions —
+  /// capacities, upload totals), topology CSR, the per-shard intent
+  /// vectors, the scheduler's own memory (ScaleScheduler::memory_bytes), the
+  /// merge/apply scratch (buckets, accept flags, admission tables, frequency
+  /// scratch), and the credit ledger. Nothing is freed mid-run, so the
+  /// figure never shrinks.
   std::uint64_t state_bytes() const;
 
  private:
-  // The randomized scheduler is the probing logic's historical home — it
-  // keeps calling straight into generate_range and the private scratch
-  // types; the deterministic schedulers use only the public introspection
-  // surface (top_block, has, config).
-  friend class RandomizedScheduler;
-
   // A (receiver, block) admission table: open-addressed, epoch-stamped so a
   // tick reset is O(1) and a million inserts touch no allocator. One table
   // per receiver shard; a receiver's deliveries land in exactly one table.
@@ -366,31 +381,6 @@ class Engine {
     std::uint32_t epoch_ = 0;
   };
 
-  // A direct-mapped cache of failed usefulness scans, one per sender shard
-  // (shard s only ever probes senders it owns, so no cross-thread access).
-  // An entry says "su \ sv was empty when u was at version vu and v at
-  // version vv"; it is consulted only when both versions still match, so a
-  // hit is exact, never heuristic — collisions merely overwrite. Misses
-  // change nothing observable: the cache can only skip rescans.
-  class ProbeCache {
-   public:
-    void configure(std::uint32_t shard_width);
-    bool is_useless(NodeId u, NodeId v, std::uint32_t ver_u,
-                    std::uint32_t ver_v) const;
-    void note_useless(NodeId u, NodeId v, std::uint32_t ver_u, std::uint32_t ver_v);
-
-    std::uint64_t memory_bytes() const {
-      return keys_.capacity() * sizeof(std::uint64_t) +
-             (ver_from_.capacity() + ver_to_.capacity()) * sizeof(std::uint32_t);
-    }
-
-   private:
-    std::vector<std::uint64_t> keys_;  // (u << 32) | v; kNoNode-based empty
-    std::vector<std::uint32_t> ver_from_;
-    std::vector<std::uint32_t> ver_to_;
-    std::uint64_t mask_ = 0;
-  };
-
   // One intent, tagged with its global position in the canonical
   // (sender-node-ordered) intent stream so accept flags and the emitted
   // stream can be reconstructed in that order after receiver-sharded
@@ -400,48 +390,11 @@ class Engine {
     std::uint32_t idx;
   };
 
-  // Per-shard scratch for the fused usefulness-scan / block-pick: one pass
-  // over su & ~sv records the NONZERO diff words (ascending word index),
-  // their popcounts and the total, and the selection (random rank-select or
-  // rarest-first walk) reuses the recording instead of re-walking the
-  // possession rows. Sparse by construction: endgame scans record one or
-  // two entries, not ceil(k/64).
-  struct DiffScan {
-    /// Sizes the three arrays for rows of `stride` words, in one allocation
-    /// that starts on a cache line and is padded to whole lines: at k <= 512
-    /// each array is 16-64 bytes, and as separate heap blocks the arrays of
-    /// different shards' scans would sit side by side on shared lines.
-    void configure(std::uint32_t stride);
-
-    std::uint64_t* words = nullptr;  // su[w] & ~sv[w], nonzero only
-    std::uint32_t* widx = nullptr;   // possession-word index per entry
-    std::uint32_t* pc = nullptr;     // popcount per entry
-    std::uint32_t entries = 0;
-    std::uint32_t total = 0;  // sum of pc over entries
-
-    std::uint64_t memory_bytes() const { return bytes_; }
-
-   private:
-    struct Free {
-      void operator()(std::byte* p) const noexcept {
-        CacheLineAllocator<std::byte>().deallocate(p, 0);
-      }
-    };
-    std::unique_ptr<std::byte[], Free> storage_;
-    std::size_t bytes_ = 0;
-  };
-
   std::uint64_t* row(NodeId node) {
     return rows_ + static_cast<std::size_t>(node) * stride_;
   }
   const std::uint64_t* row(NodeId node) const {
     return rows_ + static_cast<std::size_t>(node) * stride_;
-  }
-  const std::uint64_t* summary_has_row(NodeId node) const {
-    return summary_has_.data() + static_cast<std::size_t>(node) * sum_stride_;
-  }
-  const std::uint64_t* summary_missing_row(NodeId node) const {
-    return summary_missing_.data() + static_cast<std::size_t>(node) * sum_stride_;
   }
 
   /// The full-word mask of possession word w (tail-masked for the last word
@@ -459,47 +412,6 @@ class Engine {
     return opt_.credit_limit != 0 && opt_.scheduler == SchedKind::kRandomized;
   }
 
-  /// O(summary words): true iff some chunk where u holds blocks is still
-  /// incomplete at v — the necessary condition for a useful probe.
-  bool summary_overlap(NodeId u, NodeId v) const;
-
-  /// Fills `scan` with the nonzero words of su \ sv (ascending word index)
-  /// via the configured kernel; returns scan.total != 0. `su` is u's
-  /// sender row (see generate_node — the arena row or the shared full
-  /// row). `guided` allows the summary-driven sparse walk (the caller has
-  /// already paid for the summary rows); false goes straight to the linear
-  /// sweep. Every path records identical entries; the choice is perf-only.
-  bool scan_pair(NodeId u, const std::uint64_t* su, NodeId v, DiffScan& scan,
-                 bool guided) const;
-
-  /// The viability ladder of one probe: summary/cache prechecks (exact
-  /// rejections only), the diff scan, and the sequential-window admission
-  /// test. True iff u -> v is viable right now, with `scan` holding the
-  /// recorded diff for the block pick.
-  bool probe_viable(NodeId u, const std::uint64_t* su, std::uint32_t ver_u,
-                    NodeId v, std::uint32_t ver_v, DiffScan& scan,
-                    ProbeCache& cache);
-
-
-  /// Sequential-demand viability (opt_.stream_window != 0): true iff the
-  /// lowest block of the recorded diff lies inside v's sliding playback
-  /// window [first_missing(v), first_missing(v) + stream_window).
-  bool window_admits(NodeId v, const DiffScan& scan) const;
-
-  /// Picks a block from a non-empty DiffScan; consumes the identical RNG
-  /// draws (one below(total), or the rarest-first reservoir sequence) as
-  /// the historical two-pass pick_block. Sequential-demand mode always
-  /// picks the lowest recorded bit and draws nothing.
-  BlockId pick_from_scan(const DiffScan& scan, Rng& rng) const;
-
-  /// Deterministic sweep of u's whole neighborhood: true iff no neighbor is
-  /// currently a viable probe target (so u cannot emit an intent this tick
-  /// or any later tick until u's possession version changes — see the
-  /// argument in the header comment). `su` is u's sender row.
-  /// Populates the probe cache as it goes.
-  bool neighborhood_exhausted(NodeId u, const std::uint64_t* su, DiffScan& scan,
-                              ProbeCache& cache);
-
   /// Commits one delivery's summary bookkeeping for `to` after the
   /// possession bit of `block` has been set in `word`. (The version bump is
   /// the caller's count_ increment — count doubles as the version.)
@@ -511,19 +423,11 @@ class Engine {
   /// receiver shard), so it needs no synchronization.
   bool deliver_block(NodeId to, BlockId block);
 
-  /// Emits node u's intents. `rng` is u's per-(tick, node) stream with the
-  /// first below(degree) draw already consumed — `first_probe` is that
-  /// draw's neighbor — and the caller has verified u is eligible (active,
-  /// holds blocks, not sated, has slots and neighbors).
-  void generate_node(NodeId u, Rng& rng, NodeId first_probe,
-                     std::vector<Transfer>& out, DiffScan& scan, ProbeCache& cache);
-  /// Emits intents for senders in [first, last), ascending: runs
-  /// generate_node over the range in small double-buffered windows whose
-  /// lead pass seeds each eligible node's RNG, peeks its first probe target
-  /// and prefetches that target's metadata and possession row, so the emit
-  /// pass finds the lines resident instead of stalling per probe.
-  void generate_range(std::uint64_t tick_base, NodeId first, NodeId last,
-                      std::vector<Transfer>& out, DiffScan& scan, ProbeCache& cache);
+  /// The loop head of run() and step(): deactivates the config departures
+  /// due by tick_, then the depart-on-complete queue, both at the START of
+  /// the tick.
+  void depart_due();
+
   void plan_phases(Tick tick, std::vector<Transfer>& out, ThreadPool* pool);
   /// The serial commit loop shared by the public apply() and the sparse-tick
   /// fast path of apply_merged().
@@ -556,8 +460,6 @@ class Engine {
   std::uint64_t* rows_ = nullptr;   // 64-byte-aligned base inside bits_
   HugeBuffer<std::uint64_t> summary_has_;      // n * sum_stride hierarchy
   HugeBuffer<std::uint64_t> summary_missing_;  // n * sum_stride hierarchy
-  std::vector<std::uint32_t> sated_ver_;  // version+1 stamp when exhausted
-  bool sated_dirty_ = false;  // an arrival added targets; clear stamps at next plan
 
   // One shared all-ones possession row (tail-masked): every complete
   // sender's scans read through this single hot line instead of n identical
@@ -575,6 +477,7 @@ class Engine {
   std::uint32_t num_incomplete_ = 0;
   std::uint32_t num_departed_ = 0;
   std::uint64_t active_slots_ = 0;
+  std::uint64_t arrivals_ = 0;  // readmissions by activate(); see arrivals()
   CreditLedger ledger_;  // §3.2 pairwise net-transfer ledger; see records_ledger
 
   // Receiver shards: contiguous node-id ranges of width recv_width_ (a
@@ -595,9 +498,9 @@ class Engine {
   std::vector<std::pair<Tick, NodeId>> departures_;  // sorted copy
   std::size_t next_departure_ = 0;
 
-  // The intent generator (scheduler.h); constructed from opt_.scheduler,
-  // owns its own per-shard scratch (the randomized probe scans and caches
-  // live here now, not in the engine).
+  // The intent generator (scheduler.h), constructed from opt_.scheduler; it
+  // owns its own scratch (the randomized probe walk's scans and per-node
+  // stamps, the riffle's segments).
   std::unique_ptr<ScaleScheduler> sched_;
 
   // What one intent shard writes during the tick: its generate output and

@@ -10,15 +10,14 @@
 namespace pob::scale {
 namespace {
 
-// Requests below this use ordinary pages even when the hugetlb pool has
-// room: rounding a small test-sized engine up to 2 MiB per array would
-// pin real (unswappable) hugetlb pages for kilobytes of payload and could
-// drain the pool before the benchmark-scale arenas — the ones the pool
-// exists for — get a chance to claim it. 1 MiB keeps every per-node array
-// of a million-node engine (even the 1-byte-per-node active flags) on big
-// pages — they are all random-read per probe — while the worst-case
-// rounding waste stays at one page.
-constexpr std::size_t kHugetlbThreshold = std::size_t{1} << 20;
+// Requests of at least this size are mapped in whole 2 MiB units. Recent
+// Linux kernels place an anonymous mapping on a 2 MiB boundary only when
+// its length is a multiple of 2 MiB, and an aligned mapping can be backed
+// by transparent hugepages from its first byte to its last. 1 MiB keeps every
+// per-node array of a million-node engine (even the 1-byte-per-node active
+// flags) on big pages — they are all random-read per probe — while
+// smaller test-sized arrays are not padded to 2 MiB each.
+constexpr std::size_t kHugeRoundThreshold = std::size_t{1} << 20;
 constexpr std::size_t kHugePage = std::size_t{2} << 20;
 constexpr std::size_t kPage = 4096;
 
@@ -27,13 +26,10 @@ constexpr std::size_t round_up(std::size_t v, std::size_t unit) {
 }
 
 // The mapping length is a pure function of the request size so that
-// huge_free can reconstruct it without per-allocation bookkeeping. Large
-// requests are rounded to the hugetlb unit on EVERY path (a hugetlb
-// attempt that falls back still maps the rounded length), so free never
-// has to know which path won.
+// huge_free can reconstruct it without per-allocation bookkeeping.
 constexpr std::size_t mapping_length(std::size_t bytes) {
-  return bytes >= kHugetlbThreshold ? round_up(bytes, kHugePage)
-                                    : round_up(bytes, kPage);
+  return bytes >= kHugeRoundThreshold ? round_up(bytes, kHugePage)
+                                      : round_up(bytes, kPage);
 }
 
 }  // namespace
@@ -59,16 +55,6 @@ void* huge_alloc(std::size_t bytes) {
   if (bytes == 0) return nullptr;
 #if defined(__linux__)
   const std::size_t len = mapping_length(bytes);
-#if defined(MAP_HUGETLB)
-  if (bytes >= kHugetlbThreshold) {
-    // Without MAP_NORESERVE the pool reservation happens here, so a
-    // depleted or absent pool fails the mmap itself — no lazy-fault
-    // surprises later.
-    void* p = mmap(nullptr, len, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
-    if (p != MAP_FAILED) return p;
-  }
-#endif
   void* p = mmap(nullptr, len, PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) throw std::bad_alloc{};  // genuine memory exhaustion

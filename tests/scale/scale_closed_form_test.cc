@@ -116,8 +116,11 @@ INSTANTIATE_TEST_SUITE_P(
                                          512u, 1024u, 2048u, 4096u),
                        ::testing::Values(1u, 63u, 64u, 65u, 512u)),
     [](const auto& param_info) {
-      return "n" + std::to_string(std::get<0>(param_info.param)) + "k" +
-             std::to_string(std::get<1>(param_info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(param_info.param));
+      name += 'k';
+      name += std::to_string(std::get<1>(param_info.param));
+      return name;
     });
 
 TEST(ScaleClosedFormLedger, TriangularKeepsNoLedgerSoItsFootprintIsTheBinomials) {

@@ -352,12 +352,14 @@ TEST(ScaleEngine, StateBytesNeverShrinksOverARun) {
   EXPECT_GE(engine.state_bytes(), fresh);
 }
 
-TEST(ScaleEngine, ProbeCacheSurvivesChurnAndPossessionChanges) {
-  // Maximum cache pressure: one probe per slot means a single stale
-  // "useless" verdict (after the target gained blocks, after a departure,
-  // or after a depart-on-complete exit) would directly suppress an intent
-  // the mirrored core run emits. Credit mode adds the unblock-via-ledger
-  // path, which must invalidate through the receiver's version bump.
+TEST(ScaleEngine, SatedSkipSurvivesChurnAndPossessionChanges) {
+  // One probe per slot means most slots come up empty and trigger the
+  // neighborhood sweep, so nodes are stamped sated often. A single stale
+  // stamp (after the sender gained blocks, or a wrong verdict around a
+  // departure or a depart-on-complete exit) would directly suppress an
+  // intent the mirrored core run emits. Credit mode adds the
+  // unblock-via-ledger path, which must clear through the sender's version
+  // bump.
   EngineConfig cfg;
   cfg.num_nodes = 72;
   cfg.num_blocks = 65;  // tail word in play
@@ -554,6 +556,42 @@ TEST(ScaleEngine, LockstepPlanApplyRoundTrip) {
   }
 }
 
+TEST(ScaleEngine, ArrivalWakesSatedNeighbors) {
+  // Random demand (stream_window = 0), so nodes with no viable neighbor are
+  // stamped sated and skipped until their own possession version changes.
+  // An arrival does not move any sender's version; the stamps must still
+  // go, or nobody ever sends to the newcomer.
+  constexpr std::uint32_t kNodes = 8;
+  constexpr NodeId kLate = 5;
+  EngineConfig cfg;
+  cfg.num_nodes = kNodes;
+  cfg.num_blocks = 6;
+  Engine engine(cfg, complete_topo(kNodes), {}, 3);
+  engine.deactivate(kLate);  // absent from the start, like a late arrival
+
+  std::vector<Transfer> planned;
+  Tick t = 1;
+  for (; !engine.all_complete(); ++t) {
+    ASSERT_LE(t, 100u);
+    planned.clear();
+    engine.plan(t, planned);
+    engine.apply(t, planned);
+  }
+  // Every active node is complete: a tick with no viable target anywhere,
+  // which stamps every sender sated.
+  planned.clear();
+  engine.plan(t, planned);
+  EXPECT_TRUE(planned.empty());
+  ++t;
+
+  engine.activate(kLate);
+  EXPECT_FALSE(engine.all_complete());
+  planned.clear();
+  engine.plan(t, planned);
+  EXPECT_FALSE(planned.empty());
+  for (const Transfer& tr : planned) EXPECT_EQ(tr.to, kLate);
+}
+
 TEST(ScaleEngine, StateBytesCountsTickScratchAndLedger) {
   EngineConfig cfg;
   cfg.num_nodes = 64;
@@ -566,13 +604,12 @@ TEST(ScaleEngine, StateBytesCountsTickScratchAndLedger) {
   // The construction-time figure must cover at least the possession arena
   // and its chunk summaries, the per-node arrays (seven uint32-sized —
   // counts (which double as possession versions), completion ticks,
-  // capacities, download bookkeeping and sated stamps — one uint64 Count,
-  // one byte), the per-block
-  // frequency table, and the generate-phase scratch the constructor sizes
-  // up front: per intent shard, a full-stride diff recording (word index +
-  // word + popcount per entry) and a probe cache of at least 2x shard_nodes
-  // 16-byte entries. Any future scratch must only push the real figure
-  // further above this floor.
+  // capacities, download bookkeeping and the scheduler's sated stamps — one
+  // uint64 Count, one byte), the per-block frequency table, and the
+  // generate-phase scratch the constructor sizes up front: per intent
+  // shard, a full-stride diff recording (word index + word + popcount per
+  // entry). Any future scratch must only push the real figure further above
+  // this floor.
   const std::uint64_t fresh = engine.state_bytes();
   const std::uint64_t stride = (40 + 63) / 64;
   const std::uint64_t sum_stride = (stride + 63) / 64;
@@ -583,9 +620,7 @@ TEST(ScaleEngine, StateBytesCountsTickScratchAndLedger) {
       64 * (7 * sizeof(std::uint32_t) + sizeof(Count) + 1) +
       40 * sizeof(std::uint32_t) +
       shards * stride *
-          (sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t)) +  // diff scans
-      shards * 2 * 16 *
-          (sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t));  // probe caches
+          (sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t));  // diff scans
   EXPECT_GE(fresh, floor);
 
   std::vector<Transfer> planned;
